@@ -27,7 +27,7 @@ from math import comb, isqrt
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import LogMagnitude, Model, ModelParams
+from .core import LogMagnitude
 
 #: Euler's number in the local-lemma condition e * p * (d + 1) <= 1.
 E_EULER = math.e
@@ -432,10 +432,3 @@ def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitud
             p = LogMagnitude.from_log10(0.0)
         return lll_max_rows(p)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def bound_for_params(params: ModelParams, mode: str = "asymptotic") -> LogMagnitude:
-    """Dispatch to the row bound matching the model of params."""
-    if params.model is Model.INDEPENDENT:
-        return zeta(float(params.alpha), params.n)
-    return nu(params.alpha, params.n, mode=mode)

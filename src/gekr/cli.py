@@ -166,7 +166,10 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    report = verify.find_deficient(array, patterns, workers=args.workers)
+    try:
+        report = verify.find_deficient(array, patterns, workers=args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     if report.ok:
         print(f"ok: all {report.total_checked} triples covered")
         return 0

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ArrayMatrix, Model, ModelParams
-from .verify import first_deficient_triple
+from .core import GEKR, ArrayMatrix, Model, ModelParams
+from .verify import Lanes, first_deficient_triple
 
 #: Progress lines go to stderr every this many resampling steps.
 PROGRESS_EVERY = 10_000
@@ -160,36 +160,26 @@ def greedy_extend(
     result always passes is_gekr by construction.
     """
     n = params.n
-    full = (1 << n) - 1
+    lanes = Lanes(GEKR, n)
+    deficient = lanes.deficient
     rows: list[int] = []
-    # For each accepted pair (a, b): masks of columns reading 11, 10, 01.
-    pair_masks: list[tuple[int, int, int]] = []
+    pairs: list[int] = []  # lane value of every accepted pair
 
     while max_rows is None or len(rows) < max_rows:
         t = len(rows)
         accepted = None
         for attempt in range(attempts_per_row):
             cand = _sample_row(params, _row_rng(seed, t, attempt))
-            not_c = cand ^ full
-            ok = True
-            for both, only_a, only_b in pair_masks:
-                if (
-                    not both & cand
-                    or not both & not_c
-                    or not only_a & cand
-                    or not only_b & cand
-                ):
-                    ok = False
+            third = lanes.row(cand)
+            for pair in pairs:
+                if deficient(pair, third):
                     break
-            if ok:
+            else:
                 accepted = cand
                 break
         if accepted is None:
             break
-        for prev in rows:
-            pair_masks.append(
-                (prev & accepted, prev & (accepted ^ full), (prev ^ full) & accepted)
-            )
+        pairs.extend(lanes.pair(prev, accepted) for prev in rows)
         rows.append(accepted)
 
     return ArrayMatrix(

@@ -254,21 +254,19 @@ class ArrayMatrix:
 
     def to_text(self) -> str:
         """Render as one '0'/'1' line per row, LF-terminated."""
-        lines = []
-        for row in self.rows:
-            lines.append("".join("1" if (row >> j) & 1 else "0" for j in range(self.n)))
-        return "\n".join(lines) + "\n"
+        return "\n".join(format(row, f"0{self.n}b")[::-1] for row in self.rows) + "\n"
 
 
 def pack_row(bits: Sequence[int] | str) -> int:
     """Pack a 0/1 sequence (or '0'/'1' string) into a row integer."""
+    if isinstance(bits, str):
+        bad = bits.replace("0", "").replace("1", "")
+        if bad:
+            raise ValueError(f"bad character {bad[0]!r} in row")
+        return int(bits[::-1], 2) if bits else 0
     packed = 0
     for j, bit in enumerate(bits):
-        if isinstance(bit, str):
-            if bit not in "01":
-                raise ValueError(f"bad character {bit!r} in row")
-            bit = int(bit)
-        elif bit not in (0, 1):
+        if bit not in (0, 1):
             raise ValueError(f"bad column value {bit!r} in row")
         if bit:
             packed |= 1 << j

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
-from .core import ArrayMatrix, Pattern
+from .core import GEKR, ArrayMatrix, Pattern, PatternSet
+from .verify import Lanes
 
 #: Column-count ceiling for the enumeration oracles.
 MAX_ENUM_N = 8
@@ -46,31 +47,14 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
         raise ValueError(
             f"enumeration limited to 1 <= r <= n <= {MAX_ENUM_N}, got r={r}, n={n}"
         )
-    if len(pattern) != 3 or any(b not in (0, 1) for b in pattern):
-        raise ValueError(f"bad pattern {pattern!r}")
-    full = (1 << n) - 1
+    lanes = Lanes(PatternSet(frozenset({tuple(pattern)})), n)
     masks = _subset_masks(n, r)
-    a = masks[0]
-    sel_a = a if pattern[0] else a ^ full
+    thirds = [lanes.row(c) for c in masks]
     count = 0
     for b in masks:
-        sel_b = b if pattern[1] else b ^ full
-        ab = sel_a & sel_b
-        for c in masks:
-            sel_c = c if pattern[2] else c ^ full
-            if not ab & sel_c:
-                count += 1
+        pair = lanes.pair(masks[0], b)
+        count += sum(map(lanes.deficient, repeat(pair), thirds))
     return Fraction(count, len(masks) ** 2)
-
-
-def _triple_ok(a: int, b: int, c: int, full: int) -> bool:
-    """True iff rows a, b, c realize all four GEKR patterns."""
-    return bool(
-        a & b & c
-        and a & b & (c ^ full)
-        and a & (b ^ full) & c
-        and (a ^ full) & b & c
-    )
 
 
 @dataclass(frozen=True)
@@ -119,8 +103,10 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
         )
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
-    full = (1 << n) - 1
+    lanes = Lanes(GEKR, n)
+    deficient = lanes.deficient
     masks = _subset_masks(n, k)
+    third = {mask: lanes.row(mask) for mask in masks}
 
     best_size = min(2, len(masks))
     best_witness = masks[: best_size]
@@ -139,14 +125,10 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
             if nodes > node_limit:
                 budget_hit = True
                 return
-            if len(chosen) >= 1:
-                narrowed = [
-                    c
-                    for c in candidates[pos + 1 :]
-                    if all(_triple_ok(prev, cand, c, full) for prev in chosen)
-                ]
-            else:
-                narrowed = candidates[pos + 1 :]
+            narrowed = candidates[pos + 1 :]
+            for prev in chosen:
+                pair = lanes.pair(prev, cand)
+                narrowed = [c for c in narrowed if not deficient(pair, third[c])]
             chosen.append(cand)
             dfs(chosen, narrowed)
             chosen.pop()

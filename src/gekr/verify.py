@@ -1,23 +1,94 @@
 """Deficiency scanning: which row triples miss a required pattern.
 
-The fast path works on packed row integers.  For a triple (x, y, z) and
-pattern (a, b, c), the columns realizing the pattern are exactly the set
-bits of  sel(x,a) & sel(y,b) & sel(z,c)  where sel(row, 1) = row and
-sel(row, 0) = ~row masked to n columns.  A pattern is missing iff that
-AND is zero, so one triple costs a handful of word operations instead
-of a column loop.  Pair masks are hoisted out of the innermost loop.
+Every triple test in the package is one predicate, Lanes.deficient.  For
+a triple (x, y, z) and pattern (a, b, c), the columns realizing the
+pattern are the set bits of  sel(x,a) & sel(y,b) & sel(z,c),  where
+sel(row, 1) = row and sel(row, 0) = ~row masked to n columns.  The
+pattern is missing iff that AND is zero.
+
+Lanes packs a whole pattern set into one integer, so a triple costs the
+same three big-int operations for any set.  Lane t is w = n + 1 bits
+wide and starts at bit t*w; it belongs to pattern t of the sorted set.
+Bits 0..n-1 of a lane hold the columns, and bit n is the lane's guard
+bit, which packed values leave clear:
+
+* a row's lane value holds sel(z, c_t) in lane t (the row as third);
+* a pair's lane value holds sel(x, a_t) & sel(y, b_t) in lane t.
+
+ANDing the two leaves in lane t the columns that realize pattern t, a
+value of at most 2^n - 1.  Adding K = sum over t of (2^n - 1) << t*w
+therefore carries into a lane's guard bit exactly when the lane is
+non-zero, and never past the guard bit into the next lane.  With H the
+mask of all guard bits, the triple is deficient iff
+
+    ((pair & row) + K) & H != H.
+
+Only for a deficient triple does Lanes.missing read back which guard
+bits stayed clear, that is, which lanes of pair & row are zero.  Pair
+values are hoisted out of the innermost loop of a scan, so each further
+triple costs the AND, the add and the mask.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
 from typing import Sequence
 
 from .core import GEKR, ArrayMatrix, DeficiencyReport, Pattern, PatternSet, pack_row
 
-_GEKR_KEY = tuple(sorted(GEKR.members))
+
+class Lanes:
+    """Lane packing of one pattern set over n columns."""
+
+    def __init__(self, patterns: PatternSet, n: int) -> None:
+        self.patterns = tuple(patterns)
+        self.width = n + 1
+        self.full = (1 << n) - 1
+        # _feet[place][bit]: bit 0 of every lane whose pattern reads `bit`
+        # at position `place`; multiplying a row by it copies the row there.
+        self._feet = [[0, 0], [0, 0], [0, 0]]
+        for t, pattern in enumerate(self.patterns):
+            for place, bit in enumerate(pattern):
+                self._feet[place][bit] |= 1 << (t * self.width)
+        feet = self._feet[0][0] | self._feet[0][1]
+        k, h = self.full * feet, feet << n
+
+        def deficient(pair: int, row: int) -> bool:
+            """True iff the triple misses a pattern of the set.  A closure,
+            so that hot loops pay for one plain call per triple."""
+            return (pair & row) + k & h != h
+
+        self.deficient = deficient
+        self._k, self._h = k, h
+        self._missing: dict[int, frozenset[Pattern]] = {}
+
+    def row(self, row: int, place: int = 2) -> int:
+        """Lane value of a row standing at position place (0, 1 or 2) of
+        a triple: the row itself or its complement in every lane."""
+        zero, one = self._feet[place]
+        return row * one | (row ^ self.full) * zero
+
+    def pair(self, a: int, b: int) -> int:
+        """Lane value of the first two rows of a triple."""
+        return self.row(a, 0) & self.row(b, 1)
+
+    def missing(self, pair: int, row: int) -> frozenset[Pattern]:
+        """The patterns the triple misses: those whose lanes carry nothing
+        into their guard bits.  A pattern set of size P has at most 2^P
+        answers, so each is built once."""
+        guards = (pair & row) + self._k & self._h
+        found = self._missing.get(guards)
+        if found is None:
+            guard = self.width - 1
+            found = self._missing[guards] = frozenset(
+                pattern
+                for t, pattern in enumerate(self.patterns)
+                if not guards >> (t * self.width + guard) & 1
+            )
+        return found
 
 
 def _as_packed(row: int | str | Sequence[int], n: int | None) -> tuple[int, int]:
@@ -43,15 +114,8 @@ def triple_coverage(
     c, nc = _as_packed(row_c, n)
     if not na == nb == nc:
         raise ValueError(f"row lengths differ: {na}, {nb}, {nc}")
-    full = (1 << na) - 1
-    missing = set()
-    for pat in patterns:
-        x = a if pat[0] else a ^ full
-        y = b if pat[1] else b ^ full
-        z = c if pat[2] else c ^ full
-        if not x & y & z:
-            missing.add(pat)
-    return frozenset(missing)
+    lanes = Lanes(patterns, na)
+    return lanes.missing(lanes.pair(a, b), lanes.row(c))
 
 
 def _triple_rank(m: int, i: int, j: int, l: int) -> int:
@@ -61,80 +125,33 @@ def _triple_rank(m: int, i: int, j: int, l: int) -> int:
     return comb(m, 3) - comb(m - i, 3) + comb(m - i - 1, 2) - comb(m - j, 2) + (l - j - 1)
 
 
-def _scan_gekr(
-    rows: Sequence[int],
-    full: int,
-    i_start: int,
-    i_stop: int,
-    stop_early: bool,
-) -> list[tuple[int, int, int, frozenset[Pattern]]]:
-    """GEKR-specialized scan of triples with first index in [i_start, i_stop)."""
-    m = len(rows)
-    negs = [row ^ full for row in rows]
-    hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
-    for i in range(i_start, i_stop):
-        a, not_a = rows[i], negs[i]
-        for j in range(i + 1, m - 1):
-            b, not_b = rows[j], negs[j]
-            both = a & b
-            only_a = a & not_b
-            only_b = not_a & b
-            for l in range(j + 1, m):
-                c = rows[l]
-                missing = []
-                if not both & c:
-                    missing.append((1, 1, 1))
-                if not both & negs[l]:
-                    missing.append((1, 1, 0))
-                if not only_a & c:
-                    missing.append((1, 0, 1))
-                if not only_b & c:
-                    missing.append((0, 1, 1))
-                if missing:
-                    hits.append((i, j, l, frozenset(missing)))
-                    if stop_early:
-                        return hits
-    return hits
-
-
-def _scan_general(
-    rows: Sequence[int],
-    full: int,
-    patterns_key: tuple[Pattern, ...],
-    i_start: int,
-    i_stop: int,
-    stop_early: bool,
-) -> list[tuple[int, int, int, frozenset[Pattern]]]:
-    """Pattern-set-agnostic scan; same structure, masks built per pattern."""
-    m = len(rows)
-    negs = [row ^ full for row in rows]
-    hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
-    for i in range(i_start, i_stop):
-        sel_a = (negs[i], rows[i])
-        for j in range(i + 1, m - 1):
-            sel_b = (negs[j], rows[j])
-            pair_masks = [(sel_a[p[0]] & sel_b[p[1]], p) for p in patterns_key]
-            for l in range(j + 1, m):
-                sel_c = (negs[l], rows[l])
-                missing = [p for mask, p in pair_masks if not mask & sel_c[p[2]]]
-                if missing:
-                    hits.append((i, j, l, frozenset(missing)))
-                    if stop_early:
-                        return hits
-    return hits
-
-
 def _scan(
     rows: Sequence[int],
-    full: int,
-    patterns_key: tuple[Pattern, ...],
+    n: int,
+    patterns: PatternSet,
     i_start: int,
     i_stop: int,
     stop_early: bool,
 ) -> list[tuple[int, int, int, frozenset[Pattern]]]:
-    if patterns_key == _GEKR_KEY:
-        return _scan_gekr(rows, full, i_start, i_stop, stop_early)
-    return _scan_general(rows, full, patterns_key, i_start, i_stop, stop_early)
+    """Deficient triples with first index in [i_start, i_stop), in
+    lexicographic order."""
+    m = len(rows)
+    lanes = Lanes(patterns, n)
+    deficient = lanes.deficient
+    firsts = [lanes.row(row, 0) for row in rows]
+    seconds = [lanes.row(row, 1) for row in rows]
+    thirds = [lanes.row(row) for row in rows]
+    hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
+    for i in range(i_start, i_stop):
+        first = firsts[i]
+        for j in range(i + 1, m - 1):
+            pair = first & seconds[j]
+            for l in range(j + 1, m):
+                if deficient(pair, thirds[l]):
+                    hits.append((i, j, l, lanes.missing(pair, thirds[l])))
+                    if stop_early:
+                        return hits
+    return hits
 
 
 def _balanced_splits(m: int, workers: int) -> list[tuple[int, int]]:
@@ -162,21 +179,24 @@ def find_deficient(
     """Scan all increasing row triples of the array for deficiency.
 
     Results are in lexicographic (i, j, l) order regardless of worker
-    count.  With stop_early the scan returns after the first deficient
-    triple; total_checked is then the number of triples at or before it
-    in lexicographic order, computed by rank so it does not depend on
-    how the work was split.
+    count.  workers must be at least 1 and is capped at os.cpu_count().
+    With stop_early the scan returns after the first deficient triple;
+    total_checked is then the number of triples at or before it in
+    lexicographic order, computed by rank so it does not depend on how
+    the work was split.
     """
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        workers = min(workers, os.cpu_count() or 1)
     m = array.m
-    full = (1 << array.n) - 1
-    patterns_key = tuple(sorted(patterns.members))
     total = comb(m, 3)
 
     if workers is not None and workers > 1 and m >= 3:
         chunks = _balanced_splits(m, workers)
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
-                pool.submit(_scan, array.rows, full, patterns_key, a, b, stop_early)
+                pool.submit(_scan, array.rows, array.n, patterns, a, b, stop_early)
                 for a, b in chunks
             ]
             results = [f.result() for f in futures]
@@ -185,7 +205,7 @@ def find_deficient(
         else:
             hits = list(itertools.chain.from_iterable(results))
     else:
-        hits = _scan(array.rows, full, patterns_key, 0, max(m - 2, 0), stop_early)
+        hits = _scan(array.rows, array.n, patterns, 0, max(m - 2, 0), stop_early)
 
     if stop_early and hits:
         i, j, l, _ = hits[0]
@@ -229,8 +249,7 @@ def first_deficient_triple(
     """Lexicographically first deficient triple of packed rows, or None.
     Low-overhead entry point for resampling loops that keep plain lists.
     """
-    full = (1 << n) - 1
-    hits = _scan(rows, full, tuple(sorted(patterns.members)), 0, max(len(rows) - 2, 0), True)
+    hits = _scan(rows, n, patterns, 0, max(len(rows) - 2, 0), True)
     return hits[0][:3] if hits else None
 
 

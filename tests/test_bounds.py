@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gekr import bounds
-from gekr.core import LogMagnitude, ModelParams, render_magnitude
+from gekr.core import LogMagnitude, render_magnitude
 
 LN10 = math.log(10.0)
 
@@ -314,11 +314,3 @@ class TestNu:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             bounds.nu(0.5, 100, mode="stirling")
-
-    def test_bound_for_params(self):
-        ind = bounds.bound_for_params(ModelParams.independent(0.5, 1000))
-        assert ind.log10 == pytest.approx(bounds.zeta(0.5, 1000).log10)
-        fw = bounds.bound_for_params(
-            ModelParams.fixed_weight(30, 20), mode="exact-sum"
-        )
-        assert bounds.floor_rows(fw) == 10

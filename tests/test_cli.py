@@ -138,6 +138,11 @@ class TestVerify:
         code, _, _ = cli(["verify", "-", "--workers", "2"], stdin_text="1110\n1101\n1011\n")
         assert code == 0
 
+    def test_workers_below_one(self, cli):
+        code, _, err = cli(["verify", "-", "--workers", "0"], stdin_text="1110\n1101\n1011\n")
+        assert code == 2
+        assert "workers must be at least 1" in err
+
     def test_missing_file(self, cli, tmp_path):
         code, _, err = cli(["verify", str(tmp_path / "absent.txt")])
         assert code == 2

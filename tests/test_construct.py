@@ -175,3 +175,32 @@ class TestConfigAndRun:
             result = run(config)
             assert result.success
             assert is_gekr(result.array)
+
+
+# Rows greedy_extend returned (seed 0, 200 attempts per row) before its
+# candidate test moved onto verify.Lanes; any change in output fails here.
+GREEDY_GOLDEN = {
+    (20, 14): (
+        416255, 974643, 902142, 833275, 866799, 120767, 784509, 1023207,
+        982738, 916908, 927727, 961855, 974231, 223199, 781087, 819129,
+        620279, 1044069, 454586, 458693, 113659, 696062, 521972, 376383,
+        950124, 1042408, 981675, 1013233, 1038027, 475023, 1007514, 750588,
+        638807,
+    ),
+    (24, 17): (
+        7697917, 15949299, 16221182, 15050719, 15101948, 9240446, 6223279,
+        16669053, 16186684, 11270974, 1829759, 6224843, 15465701, 13610859,
+        12560871, 16490170, 12057149, 16433049, 7700442, 7851735, 2990075,
+        16031479, 12828637, 12031979, 16358863, 8187007, 8320634, 16381773,
+        16700883, 14532082, 16539447, 12483407, 8087486, 15912799, 15678422,
+        16246579, 14640375, 15636159, 14082022, 8011503, 13581755, 14399087,
+        15395551, 3141437, 14151565, 14638805, 10157975, 12055798, 7584757,
+        15072171, 12440551,
+    ),
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(GREEDY_GOLDEN))
+def test_greedy_golden_rows(n, k):
+    arr = greedy_extend(ModelParams.fixed_weight(n, k), seed=0, attempts_per_row=200)
+    assert arr.rows == GREEDY_GOLDEN[(n, k)]

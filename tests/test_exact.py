@@ -104,3 +104,18 @@ def test_witness_matrix_packing():
     matrix = witness_matrix(4, ((0, 1), (2, 3)))
     assert matrix.rows == (0b0011, 0b1100)
     assert matrix.declared_weight == 2
+
+
+# Witnesses max_family returned before its filter moved onto verify.Lanes;
+# any change in the search order or the predicate shows up here.
+@pytest.mark.parametrize("n,k", [(7, 4), (8, 4)])
+def test_max_family_golden_witness(n, k):
+    result = max_family(n, k)
+    assert (result.size, result.optimal) == (5, True)
+    assert result.witness == (
+        (0, 1, 2, 3),
+        (0, 1, 2, 4),
+        (0, 1, 3, 4),
+        (0, 2, 3, 4),
+        (1, 2, 3, 4),
+    )

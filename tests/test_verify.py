@@ -1,4 +1,5 @@
 import itertools
+from concurrent.futures import Future
 from math import comb
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gekr import verify
 from gekr.core import GEKR, ArrayMatrix, PatternSet, parse_array
 from gekr.verify import (
+    Lanes,
     find_deficient,
     find_deficient_naive,
     first_deficient_triple,
@@ -16,6 +19,7 @@ from gekr.verify import (
 )
 
 COVERED_3X4 = parse_array("1110\n1101\n1011\n")
+ALL_PATTERNS = sorted(itertools.product((0, 1), repeat=3))
 
 
 def random_array(rng: np.random.Generator, m: int, n: int) -> ArrayMatrix:
@@ -191,3 +195,100 @@ def test_triple_count_bookkeeping():
     report = find_deficient(arr)
     assert report.total_checked == comb(9, 3)
     assert len(report.deficient) == report.deficient_count
+
+
+class TestLanes:
+    def test_layout(self):
+        # n = 2: lanes are 3 bits wide, guard bit at position 2 of each.
+        lanes = Lanes(PatternSet(frozenset({(0, 1, 1), (1, 1, 0)})), 2)
+        assert lanes.row(0b01) == 0b10_001  # lane 0: row, lane 1: complement
+        assert lanes.pair(0b01, 0b11) == 0b001_010
+        assert not lanes.deficient(lanes.pair(0b10, 0b11), lanes.row(0b01))
+
+    def test_guard_carry_stays_in_lane(self):
+        # Full lanes next to empty ones: adding K must not carry across.
+        for n in (1, 2, 7, 64):
+            full = (1 << n) - 1
+            lanes = Lanes(PatternSet(frozenset({(1, 1, 1), (1, 1, 0)})), n)
+            pair = lanes.pair(full, full)
+            assert lanes.deficient(pair, lanes.row(full))
+            assert lanes.missing(pair, lanes.row(full)) == {(1, 1, 0)}
+            assert lanes.missing(pair, lanes.row(0)) == {(1, 1, 1)}
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_pattern_sets_match_naive(self, data):
+        patterns = PatternSet(
+            frozenset(
+                data.draw(
+                    st.lists(
+                        st.sampled_from(ALL_PATTERNS), min_size=1, max_size=8, unique=True
+                    )
+                )
+            )
+        )
+        m = data.draw(st.integers(min_value=3, max_value=8))
+        n = data.draw(st.integers(min_value=1, max_value=16))
+        rows = tuple(
+            data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+            for _ in range(m)
+        )
+        arr = ArrayMatrix(n=n, rows=rows)
+        naive = find_deficient_naive(arr, patterns)
+        for workers in (None, 2):
+            fast = find_deficient(arr, patterns, workers=workers)
+            assert fast.deficient == naive.deficient
+            assert fast.missing == naive.missing
+            assert fast.total_checked == naive.total_checked
+        gaps = dict(zip(naive.deficient, naive.missing))
+        for i, j, l in itertools.combinations(range(m), 3):
+            got = triple_coverage(rows[i], rows[j], rows[l], patterns=patterns, n=n)
+            assert got == gaps.get((i, j, l), frozenset())
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs
+    each submitted call inline, so no process is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkerBounds:
+    def test_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                find_deficient(COVERED_3X4, workers=workers)
+
+    @pytest.mark.parametrize("cpus", [3, 5])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus):
+        # The inline pool also checks that 3- and 5-way splits give the
+        # single-process answer on hosts with fewer cores.
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        arr = random_array(np.random.default_rng(11), 40, 6)
+        assert find_deficient(arr, workers=10_000) == find_deficient(arr)
+        early = find_deficient(arr, stop_early=True, workers=10_000)
+        assert early == find_deficient(arr, stop_early=True)
+        assert _RecordingPool.sizes == [cpus, cpus]
+
+    def test_single_cpu_skips_pool(self, monkeypatch):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        assert find_deficient(COVERED_3X4, workers=8).ok
+        assert _RecordingPool.sizes == []
