@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -203,7 +204,16 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         )
     except ValueError as exc:
         parser.error(str(exc))
-    result = construct.run(config)
+    # Progress records go to the "gekr" logger at INFO; show them here.
+    log = logging.getLogger("gekr")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        result = construct.run(config)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     if not result.success:
         print(
             f"construction failed after {result.resamples_used} resamples",

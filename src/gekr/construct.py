@@ -1,5 +1,12 @@
 """Randomized construction of GEKR arrays.
 
+Moser-Tardos always resamples the rows of the lexicographically first
+deficient triple.  The rule fixes every array bit for bit; what a step
+costs is up to the search.  verify.TripleScan makes one forward pass
+over the comb(m, 3) triples, spread over the run, and after each
+resample tests again only the triples before its cursor that hold one
+of the three new rows, so a step costs O(m^2) tests after that pass.
+
 Reproducibility rule: every row draw comes from its own PCG64 stream,
 keyed as SeedSequence(seed, spawn_key=(row_index, epoch)).  A row's
 epoch starts at 0 and increments each time that row is resampled (or,
@@ -11,17 +18,21 @@ of how many triples the verifier inspected along the way.
 
 from __future__ import annotations
 
-import sys
+import logging
+import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import GEKR, ArrayMatrix, Model, ModelParams
-from .verify import Lanes, first_deficient_triple
+from .verify import Lanes, TripleScan, first_deficient_triple, triples_through
 
-#: Progress lines go to stderr every this many resampling steps.
+#: A progress record goes to the "gekr" logger, at INFO, every this many
+#: resampling steps.
 PROGRESS_EVERY = 10_000
+
+log = logging.getLogger("gekr")
 
 
 class Strategy(Enum):
@@ -52,10 +63,13 @@ class ConstructionConfig:
 class ConstructionResult:
     """array is None exactly when the strategy gave up; resamples_used
     counts resampling steps (deficient triples fixed, full redraws, or
-    rejected greedy candidates, depending on the strategy)."""
+    rejected greedy candidates, depending on the strategy);
+    triples_checked counts the triple tests of Moser-Tardos and
+    rejection (greedy reports 0)."""
 
     array: ArrayMatrix | None
     resamples_used: int
+    triples_checked: int = 0
 
     @property
     def success(self) -> bool:
@@ -103,9 +117,10 @@ def sample_rows(params: ModelParams, m: int, seed: int, epoch: int = 0) -> Array
     return ArrayMatrix(n=params.n, rows=rows, declared_weight=_declared_weight(params))
 
 
-def _progress(step: int) -> None:
+def _progress(step: int, start: float) -> None:
     if step and step % PROGRESS_EVERY == 0:
-        print(f"resamples: {step}", file=sys.stderr, flush=True)
+        rate = step / (time.perf_counter() - start)
+        log.info("resamples: %d (%.0f steps/s)", step, rate)
 
 
 def moser_tardos(config: ConstructionConfig) -> ConstructionResult:
@@ -114,38 +129,51 @@ def moser_tardos(config: ConstructionConfig) -> ConstructionResult:
     constructive form guarantees fast convergence whenever m is at or
     below the lll_max_rows bound for the model.
     """
+    start = time.perf_counter()
     params = config.params
     rows = [
         _sample_row(params, _row_rng(config.seed, i, 0)) for i in range(config.m)
     ]
     epochs = [0] * config.m
+    scan = TripleScan(rows, params.n)
     steps = 0
-    while True:
-        bad = first_deficient_triple(rows, params.n)
-        if bad is None:
-            array = ArrayMatrix(
-                n=params.n, rows=tuple(rows), declared_weight=_declared_weight(params)
-            )
-            return ConstructionResult(array=array, resamples_used=steps)
+    while (bad := scan.first()) is not None:
         if steps >= config.max_resamples:
-            return ConstructionResult(array=None, resamples_used=steps)
+            return ConstructionResult(
+                array=None, resamples_used=steps, triples_checked=scan.checked
+            )
         for idx in bad:
             epochs[idx] += 1
             rows[idx] = _sample_row(params, _row_rng(config.seed, idx, epochs[idx]))
+        scan.replace({idx: rows[idx] for idx in bad})
         steps += 1
-        _progress(steps)
+        _progress(steps, start)
+    array = ArrayMatrix(
+        n=params.n, rows=tuple(rows), declared_weight=_declared_weight(params)
+    )
+    return ConstructionResult(
+        array=array, resamples_used=steps, triples_checked=scan.checked
+    )
 
 
 def rejection(config: ConstructionConfig) -> ConstructionResult:
     """Redraw the whole array until deficiency-free.  resamples_used is
     the number of full redraws after the initial draw."""
+    start = time.perf_counter()
     params = config.params
+    checked = 0
     for attempt in range(config.max_resamples + 1):
         array = sample_rows(params, config.m, config.seed, epoch=attempt)
-        if first_deficient_triple(array.rows, params.n) is None:
-            return ConstructionResult(array=array, resamples_used=attempt)
-        _progress(attempt + 1)
-    return ConstructionResult(array=None, resamples_used=config.max_resamples)
+        bad = first_deficient_triple(array.rows, params.n)
+        checked += triples_through(config.m, bad)
+        if bad is None:
+            return ConstructionResult(
+                array=array, resamples_used=attempt, triples_checked=checked
+            )
+        _progress(attempt + 1, start)
+    return ConstructionResult(
+        array=None, resamples_used=config.max_resamples, triples_checked=checked
+    )
 
 
 def greedy_extend(

@@ -118,11 +118,128 @@ def triple_coverage(
     return lanes.missing(lanes.pair(a, b), lanes.row(c))
 
 
-def _triple_rank(m: int, i: int, j: int, l: int) -> int:
-    """Zero-based position of (i, j, l) in the lexicographic listing of
-    the increasing triples from range(m).  Used so that total_checked is
-    identical whether the scan ran on one worker or many."""
-    return comb(m, 3) - comb(m - i, 3) + comb(m - i - 1, 2) - comb(m - j, 2) + (l - j - 1)
+def triples_through(m: int, triple: tuple[int, int, int] | None) -> int:
+    """How many increasing triples from range(m) a lexicographic scan
+    tests up to and including triple: its zero-based rank plus one, or
+    all comb(m, 3) when triple is None."""
+    if triple is None:
+        return comb(m, 3)
+    i, j, l = triple
+    return comb(m, 3) - comb(m - i, 3) + comb(m - i - 1, 2) - comb(m - j, 2) + (l - j)
+
+
+class TripleScan:
+    """Deficient triples of m rows, some of which may be replaced between
+    searches.  The lane values of every row at each place of a triple are
+    computed once and kept.
+
+    scan is the lexicographic forward loop.  first and replace make it
+    incremental for a resampling loop such as Moser-Tardos.  They keep a
+    cursor, the first triple not yet known to be clean, and found, the
+    deficient triples before it; every other triple before the cursor is
+    clean.  first returns min(found), or runs scan from the cursor until
+    it meets a deficient triple.  replace drops the found triples that hold
+    a replaced row and tests again every triple before the cursor that
+    holds one, about 3 m^2 / 2 of them for three rows.  Either way the
+    answer is the lexicographically first deficient triple of the current
+    rows, as first_deficient_triple would give, and only the first full
+    pass costs comb(m, 3) tests.  checked counts the tests made.
+    """
+
+    def __init__(self, rows: Sequence[int], n: int, patterns: PatternSet = GEKR) -> None:
+        self.lanes = Lanes(patterns, n)
+        self.m = len(rows)
+        self.firsts = [self.lanes.row(row, 0) for row in rows]
+        self.seconds = [self.lanes.row(row, 1) for row in rows]
+        self.thirds = [self.lanes.row(row) for row in rows]
+        self.cursor = (0, 0, 0)  # scan reads this as the first triple, (0, 1, 2)
+        self.found: set[tuple[int, int, int]] = set()
+        self.checked = 0
+        self._passed = 0  # triples before the cursor
+
+    def scan(
+        self, start: tuple[int, int, int], i_stop: int, stop_early: bool
+    ) -> list[tuple[int, int, int, frozenset[Pattern]]]:
+        """Deficient triples from start (inclusive) up to first index
+        i_stop (exclusive), in lexicographic order.  start need not be an
+        increasing triple: (i, 0, 0) begins at the first triple of row i."""
+        m = self.m
+        lanes = self.lanes
+        deficient = lanes.deficient
+        firsts, seconds, thirds = self.firsts, self.seconds, self.thirds
+        hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
+        i_start, j_from, l_from = start
+        for i in range(i_start, i_stop):
+            first = firsts[i]
+            for j in range(max(j_from, i + 1), m - 1):
+                pair = first & seconds[j]
+                for l in range(max(l_from, j + 1), m):
+                    if deficient(pair, thirds[l]):
+                        hits.append((i, j, l, lanes.missing(pair, thirds[l])))
+                        if stop_early:
+                            return hits
+                l_from = 0
+            j_from = l_from = 0
+        return hits
+
+    def first(self) -> tuple[int, int, int] | None:
+        """Lexicographically first deficient triple of the current rows."""
+        if not self.found:
+            hits = self.scan(self.cursor, self.m - 2, True)
+            hit = hits[0][:3] if hits else None
+            passed = triples_through(self.m, hit)
+            self.checked += passed - self._passed
+            self._passed = passed
+            if hit is None:
+                self.cursor = (self.m, 0, 0)
+                return None
+            self.found.add(hit)
+            self.cursor = (hit[0], hit[1], hit[2] + 1)
+        return min(self.found)
+
+    def replace(self, rows: dict[int, int]) -> None:
+        """Put in new rows by index and bring found up to date."""
+        lanes = self.lanes
+        for r, row in rows.items():
+            self.firsts[r] = lanes.row(row, 0)
+            self.seconds[r] = lanes.row(row, 1)
+            self.thirds[r] = lanes.row(row)
+        self.found = {t for t in self.found if rows.keys().isdisjoint(t)}
+        for r in rows:
+            self._rescan(r)
+
+    def _rescan(self, r: int) -> None:
+        """Test every triple before the cursor that holds row r, at each
+        of its three places, adding the deficient ones to found.  A triple
+        holding two replaced rows is tested once for each.  Two of the
+        three lane values are ANDed outside the inner loop; the AND is
+        commutative, so which two does not matter."""
+        m, deficient, found = self.m, self.lanes.deficient, self.found
+        firsts, seconds, thirds = self.firsts, self.seconds, self.thirds
+        ci, cj, cl = self.cursor
+        tested = 0
+        # (r, j, l) and (i, r, l): l runs up to the cursor's bound for (i, j).
+        heads = itertools.chain(
+            ((r, j) for j in range(r + 1, m - 1 if r <= ci else 0)),
+            ((i, r) for i in range(min(r, ci + 1))),
+        )
+        for i, j in heads:
+            pair = firsts[i] & seconds[j]
+            stop = m if (i, j) < (ci, cj) else cl if (i, j) == (ci, cj) else 0
+            for l in range(j + 1, stop):
+                if deficient(pair, thirds[l]):
+                    found.add((i, j, l))
+            tested += max(stop - j - 1, 0)
+        # (i, j, r): j runs up to r, or to the cursor's bound when i == ci.
+        third = thirds[r]
+        for i in range(min(r - 1, ci + 1)):
+            pair = firsts[i] & third
+            stop = r if i < ci else min(r, cj + (r < cl))
+            for j in range(i + 1, stop):
+                if deficient(pair, seconds[j]):
+                    found.add((i, j, r))
+            tested += max(stop - i - 1, 0)
+        self.checked += tested
 
 
 def _scan(
@@ -134,24 +251,9 @@ def _scan(
     stop_early: bool,
 ) -> list[tuple[int, int, int, frozenset[Pattern]]]:
     """Deficient triples with first index in [i_start, i_stop), in
-    lexicographic order."""
-    m = len(rows)
-    lanes = Lanes(patterns, n)
-    deficient = lanes.deficient
-    firsts = [lanes.row(row, 0) for row in rows]
-    seconds = [lanes.row(row, 1) for row in rows]
-    thirds = [lanes.row(row) for row in rows]
-    hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
-    for i in range(i_start, i_stop):
-        first = firsts[i]
-        for j in range(i + 1, m - 1):
-            pair = first & seconds[j]
-            for l in range(j + 1, m):
-                if deficient(pair, thirds[l]):
-                    hits.append((i, j, l, lanes.missing(pair, thirds[l])))
-                    if stop_early:
-                        return hits
-    return hits
+    lexicographic order.  A module-level function, so that pool workers
+    can run it."""
+    return TripleScan(rows, n, patterns).scan((i_start, 0, 0), i_stop, stop_early)
 
 
 def _balanced_splits(m: int, workers: int) -> list[tuple[int, int]]:
@@ -190,7 +292,6 @@ def find_deficient(
             raise ValueError(f"workers must be at least 1, got {workers}")
         workers = min(workers, os.cpu_count() or 1)
     m = array.m
-    total = comb(m, 3)
 
     if workers is not None and workers > 1 and m >= 3:
         chunks = _balanced_splits(m, workers)
@@ -207,11 +308,7 @@ def find_deficient(
     else:
         hits = _scan(array.rows, array.n, patterns, 0, max(m - 2, 0), stop_early)
 
-    if stop_early and hits:
-        i, j, l, _ = hits[0]
-        checked = _triple_rank(m, i, j, l) + 1
-    else:
-        checked = total
+    checked = triples_through(m, hits[0][:3] if stop_early and hits else None)
     return DeficiencyReport(
         deficient=tuple((i, j, l) for i, j, l, _ in hits),
         missing=tuple(miss for _, _, _, miss in hits),
@@ -246,11 +343,11 @@ def find_deficient_naive(
 def first_deficient_triple(
     rows: Sequence[int], n: int, patterns: PatternSet = GEKR
 ) -> tuple[int, int, int] | None:
-    """Lexicographically first deficient triple of packed rows, or None.
-    Low-overhead entry point for resampling loops that keep plain lists.
+    """Lexicographically first deficient triple of packed rows, or None,
+    from one forward scan.  A loop that replaces rows between searches
+    keeps a TripleScan instead, which rescans only what changed.
     """
-    hits = _scan(rows, n, patterns, 0, max(len(rows) - 2, 0), True)
-    return hits[0][:3] if hits else None
+    return TripleScan(rows, n, patterns).first()
 
 
 def is_gekr(array: ArrayMatrix) -> bool:

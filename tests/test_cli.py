@@ -1,9 +1,11 @@
 import io
 import json
+import logging
 import math
 
 import pytest
 
+from gekr import construct
 from gekr.cli import main
 from gekr.core import parse_array
 from gekr.verify import is_gekr
@@ -189,6 +191,20 @@ class TestConstruct:
         )
         assert code == 1
         assert "failed" in err
+
+    def test_progress_on_stderr(self, cli, monkeypatch, caplog):
+        monkeypatch.setattr(construct, "PROGRESS_EVERY", 10)
+        code, _, err = cli(
+            ["construct", "--model", "fixed", "--k", "6", "--n", "6", "--m", "3", "--max-resamples", "25"]
+        )
+        assert code == 1
+        lines = [line for line in err.splitlines() if line.startswith("resamples:")]
+        assert [line.split(" (")[0] for line in lines] == ["resamples: 10", "resamples: 20"]
+        assert all(line.endswith(" steps/s)") for line in lines)
+        assert [r.getMessage() for r in caplog.records if r.name == "gekr"] == lines
+        # The handler and level last only as long as the command.
+        assert not logging.getLogger("gekr").handlers
+        assert logging.getLogger("gekr").level == logging.NOTSET
 
     def test_greedy_without_m(self, cli):
         code, out, _ = cli(

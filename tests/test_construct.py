@@ -1,11 +1,16 @@
+import hashlib
+import logging
 import math
 
 import pytest
 
+from gekr import construct
 from gekr.bounds import floor_rows, nu
 from gekr.construct import (
     ConstructionConfig,
     Strategy,
+    _row_rng,
+    _sample_row,
     greedy_extend,
     moser_tardos,
     rejection,
@@ -13,7 +18,7 @@ from gekr.construct import (
     sample_rows,
 )
 from gekr.core import ModelParams
-from gekr.verify import find_deficient, is_gekr
+from gekr.verify import find_deficient, first_deficient_triple, is_gekr, triples_through
 
 FIXED_20_14 = ModelParams.fixed_weight(20, 14)
 FIXED_30_20 = ModelParams.fixed_weight(30, 20)
@@ -100,6 +105,134 @@ class TestMoserTardos:
         result = moser_tardos(ConstructionConfig(params=params, m=6, seed=1))
         if result.success:
             assert set(result.array.weights()) == {8}
+
+
+def from_scratch(config):
+    """Moser-Tardos as it was before verify.TripleScan: a full search for
+    the first deficient triple after every resample.  Returns the rows (or
+    None when the budget ran out) and the step count."""
+    params = config.params
+    rows = [_sample_row(params, _row_rng(config.seed, i, 0)) for i in range(config.m)]
+    epochs = [0] * config.m
+    steps = 0
+    while (bad := first_deficient_triple(rows, params.n)) is not None:
+        if steps >= config.max_resamples:
+            return None, steps
+        for idx in bad:
+            epochs[idx] += 1
+            rows[idx] = _sample_row(params, _row_rng(config.seed, idx, epochs[idx]))
+        steps += 1
+    return tuple(rows), steps
+
+
+# (params, m, seed, max_resamples): m from 0 to 3 and at the exact-sum or
+# zeta floor of each model; m above the floor, where runs take 5 to 45
+# steps; runs that spend their budget; and alpha = 1, where every row is
+# all ones and every triple stays deficient.
+ORACLE_CASES = [
+    *[(params, m, 0, 1_000_000) for params in (FIXED_20_14, ModelParams.independent(0.7, 30))
+      for m in range(3)],
+    *[(ModelParams.fixed_weight(n, k), m, seed, 1_000_000)
+      for n, k, m in ((20, 14, 3), (24, 17, 5), (30, 21, 11), (36, 25, 23), (40, 28, 38))
+      for seed in range(5)],
+    *[(ModelParams.independent(alpha, n), m, seed, 1_000_000)
+      for alpha, n, m in ((0.7, 30, 3), (0.75, 40, 5))
+      for seed in range(5)],
+    *[(params, m, seed, 1_000_000)
+      for params, m in (
+          (ModelParams.fixed_weight(24, 17), 20),
+          (ModelParams.fixed_weight(40, 28), 60),
+          (ModelParams.independent(0.7, 30), 16),
+          (ModelParams.independent(0.75, 40), 30),
+      )
+      for seed in range(3)],
+    (ModelParams.fixed_weight(12, 8), 12, 0, 7),
+    (ModelParams.independent(0.5, 8), 10, 1, 5),
+    (ModelParams.independent(1, 5), 3, 0, 20),
+    (ModelParams.independent(1, 5), 6, 0, 20),
+]
+
+
+@pytest.mark.parametrize(
+    "params,m,seed,max_resamples",
+    ORACLE_CASES,
+    ids=[f"{p.model.value}-n{p.n}-a{float(p.alpha):.3g}-m{m}-seed{s}-max{x}"
+         for p, m, s, x in ORACLE_CASES],
+)
+def test_moser_tardos_matches_from_scratch(params, m, seed, max_resamples):
+    config = ConstructionConfig(params=params, m=m, seed=seed, max_resamples=max_resamples)
+    result = moser_tardos(config)
+    rows, steps = from_scratch(config)
+    assert result.resamples_used == steps
+    assert (result.array.rows if result.success else None) == rows
+    # One forward pass, plus at most the triples holding each new row.
+    assert result.triples_checked <= math.comb(m, 3) + 3 * steps * math.comb(max(m - 1, 0), 2)
+
+
+def test_moser_tardos_floor_golden():
+    # Rows of (50, 35) at its exact-sum floor m = 136, seed 18, as the
+    # from-scratch driver built them.
+    params = ModelParams.fixed_weight(50, 35)
+    result = moser_tardos(ConstructionConfig(params=params, m=136, seed=18))
+    assert result.resamples_used == 3
+    digest = hashlib.sha256(result.array.to_text().encode()).hexdigest()
+    assert digest == "461e8fb56588322ab53ea96e0b3dbcea121d86dc6e4abaece271064c61976b18"
+
+
+class TestTriplesChecked:
+    def test_clean_first_draw_is_one_pass(self):
+        params = ModelParams.fixed_weight(30, 21)
+        result = moser_tardos(ConstructionConfig(params=params, m=20, seed=0))
+        assert result.resamples_used == 0
+        assert result.triples_checked == math.comb(20, 3)
+        small = moser_tardos(ConstructionConfig(params=FIXED_20_14, m=2, seed=0))
+        assert small.triples_checked == 0
+
+    def test_rejection_counts_every_attempt(self):
+        config = ConstructionConfig(
+            params=FIXED_30_20, m=8, seed=5, strategy=Strategy.REJECTION
+        )
+        result = rejection(config)
+        expected = sum(
+            triples_through(8, first_deficient_triple(sample_rows(FIXED_30_20, 8, 5, a).rows, 30))
+            for a in range(result.resamples_used + 1)
+        )
+        assert result.triples_checked == expected
+        failed = rejection(
+            ConstructionConfig(
+                params=ModelParams.fixed_weight(5, 5), m=3, seed=0,
+                strategy=Strategy.REJECTION, max_resamples=5,
+            )
+        )
+        assert failed.triples_checked == 6  # (0, 1, 2) fails each of 6 draws
+
+    def test_greedy_reports_zero(self):
+        config = ConstructionConfig(params=FIXED_30_20, m=6, seed=1, strategy=Strategy.GREEDY)
+        assert run(config).triples_checked == 0
+
+
+class TestProgressLogging:
+    IMPOSSIBLE = ConstructionConfig(
+        params=ModelParams.fixed_weight(6, 6), m=3, seed=0, max_resamples=12
+    )
+
+    def test_records_with_rate(self, monkeypatch, caplog):
+        monkeypatch.setattr(construct, "PROGRESS_EVERY", 5)
+        caplog.set_level(logging.INFO, logger="gekr")
+        moser_tardos(self.IMPOSSIBLE)
+        records = [r for r in caplog.records if r.name == "gekr"]
+        assert [r.levelno for r in records] == [logging.INFO] * 2
+        for record, step in zip(records, (5, 10)):
+            message = record.getMessage()
+            assert message.startswith(f"resamples: {step} (")
+            assert message.endswith(" steps/s)")
+
+    def test_caller_can_silence(self, monkeypatch, caplog):
+        monkeypatch.setattr(construct, "PROGRESS_EVERY", 5)
+        caplog.set_level(logging.INFO)
+        caplog.set_level(logging.WARNING, logger="gekr")
+        moser_tardos(self.IMPOSSIBLE)
+        assert not [r for r in caplog.records if r.name == "gekr"]
 
 
 class TestRejection:

@@ -11,11 +11,13 @@ from gekr import verify
 from gekr.core import GEKR, ArrayMatrix, PatternSet, parse_array
 from gekr.verify import (
     Lanes,
+    TripleScan,
     find_deficient,
     find_deficient_naive,
     first_deficient_triple,
     is_gekr,
     triple_coverage,
+    triples_through,
 )
 
 COVERED_3X4 = parse_array("1110\n1101\n1011\n")
@@ -195,6 +197,63 @@ def test_triple_count_bookkeeping():
     report = find_deficient(arr)
     assert report.total_checked == comb(9, 3)
     assert len(report.deficient) == report.deficient_count
+
+
+def naive_first(rows, n, patterns=GEKR):
+    report = find_deficient_naive(ArrayMatrix(n=n, rows=tuple(rows)), patterns)
+    return report.deficient[0] if report.deficient else None
+
+
+class TestTripleScan:
+    def test_triples_through_is_rank_plus_one(self):
+        for m in range(8):
+            assert triples_through(m, None) == comb(m, 3)
+            for rank, triple in enumerate(itertools.combinations(range(m), 3)):
+                assert triples_through(m, triple) == rank + 1
+
+    def test_one_pass_counts_its_tests(self):
+        rng = np.random.default_rng(3)
+        for m in (0, 2, 3, 9):
+            arr = random_array(rng, m, 6)
+            scan = TripleScan(arr.rows, arr.n)
+            bad = scan.first()
+            assert bad == naive_first(arr.rows, arr.n)
+            assert scan.checked == triples_through(m, bad)
+            assert scan.first() == bad and scan.checked == triples_through(m, bad)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_replacements_match_naive(self, data):
+        # Replace the rows of the first deficient triple, as Moser-Tardos
+        # does, or up to three arbitrary rows; after each replacement
+        # first() must be the naive scan's first hit on the current rows.
+        patterns = data.draw(
+            st.sampled_from([GEKR, PatternSet(frozenset(ALL_PATTERNS[3:6]))])
+        )
+        m = data.draw(st.integers(min_value=0, max_value=9))
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        row = st.integers(min_value=0, max_value=(1 << n) - 1)
+        rows = [data.draw(row) for _ in range(m)]
+        scan = TripleScan(rows, n, patterns)
+        replaced = 0
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            bad = scan.first()
+            assert bad == naive_first(rows, n, patterns)
+            if bad is not None and data.draw(st.booleans()):
+                targets = set(bad)
+            elif m:
+                targets = data.draw(st.sets(st.integers(0, m - 1), max_size=3))
+            else:
+                targets = set()
+            new = {r: data.draw(row) for r in targets}
+            for r, value in new.items():
+                rows[r] = value
+            scan.replace(new)
+            replaced += len(new)
+        assert scan.first() == naive_first(rows, n, patterns)
+        # One forward pass in all, and at most every triple holding a
+        # replaced row per replacement.
+        assert scan.checked <= comb(m, 3) + replaced * comb(max(m - 1, 0), 2)
 
 
 class TestLanes:
