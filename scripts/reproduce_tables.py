@@ -8,24 +8,26 @@ the asymptotic rate)."""
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
-from gekr.bounds import nu, zeta
+from gekr.bounds import TABLE_ALPHAS, TABLE_NS, row_bound
 from gekr.core import parse_alpha, render_magnitude
 
-NS = (10_000, 100_000, 300_000, 1_000_000)
-INDEPENDENT_ALPHAS = ("0.1669", "0.2", "1/3", "0.5", "2/3", "0.7395", "0.8")
-FIXED_ALPHAS = ("0.1685", "0.2", "1/3", "0.5", "2/3", "0.7395", "0.8")
+TITLES = {
+    "independent": "Independent model",
+    "fixed-asymptotic": "Fixed-weight model (asymptotic rate)",
+}
 
 
-def print_table(title: str, alphas: tuple[str, ...], bound) -> None:
-    print(title)
-    header = ["alpha/n"] + [f"{n:,}" for n in NS]
-    widths = [8] + [14] * len(NS)
+def print_table(model: str) -> None:
+    print(TITLES[model])
+    header = ["alpha/n"] + [f"{n:,}" for n in TABLE_NS]
+    widths = [8] + [14] * len(TABLE_NS)
     print("".join(cell.rjust(w) for cell, w in zip(header, widths)))
-    for token in alphas:
+    for token in TABLE_ALPHAS[model]:
         alpha = parse_alpha(token)
-        cells = [token] + [render_magnitude(bound(alpha, n)) for n in NS]
+        cells = [token] + [
+            render_magnitude(row_bound(model, alpha, n)) for n in TABLE_NS
+        ]
         print("".join(cell.rjust(w) for cell, w in zip(cells, widths)))
     print()
 
@@ -34,18 +36,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--model",
-        choices=("independent", "fixed-asymptotic", "both"),
+        choices=(*TITLES, "both"),
         default="both",
     )
     args = parser.parse_args()
-    if args.model in ("independent", "both"):
-        print_table("Independent model", INDEPENDENT_ALPHAS, zeta)
-    if args.model in ("fixed-asymptotic", "both"):
-        print_table(
-            "Fixed-weight model (asymptotic rate)",
-            FIXED_ALPHAS,
-            lambda alpha, n: nu(Fraction(alpha), n),
-        )
+    for model in TITLES:
+        if args.model in (model, "both"):
+            print_table(model)
 
 
 if __name__ == "__main__":

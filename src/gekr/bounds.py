@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import LogMagnitude
 
@@ -42,13 +41,17 @@ _LN10 = math.log(10.0)
 EXACT_N_LIMIT = 500
 
 
-def _log10_sum(terms: list[float]) -> float:
-    """log10 of a sum of magnitudes given by their log10s."""
-    finite = [t for t in terms if t != -math.inf]
-    if not finite:
+def _log10_sum(terms: list[float] | np.ndarray) -> float:
+    """log10 of a sum of magnitudes given by their log10s; -inf terms
+    are zeros.  Terms more than 40 decades below the largest are left
+    out (a million of them move the sum by under 1e-34 of itself); the
+    rest are added exactly rounded by math.fsum."""
+    terms = np.asarray(terms, dtype=float)
+    top = terms.max(initial=-math.inf)
+    if top == -math.inf:
         return -math.inf
-    top = max(finite)
-    return top + math.log10(math.fsum(10.0 ** (t - top) for t in finite))
+    near = (terms[terms > top - 40.0] - top).tolist()
+    return float(top) + math.log10(math.fsum(10.0**t for t in near))
 
 
 # ---------------------------------------------------------------------------
@@ -172,44 +175,29 @@ def p_fixed_exact(n: int, r: int) -> Fraction:
     return sigma1(n, r) + 3 * sigma2(n, r)
 
 
-def _log_comb(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
-    """Natural log of C(a, b) for non-negative b <= a, vectorized."""
-    return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
-
-
 def p_fixed_log10(n: int, r: int) -> LogMagnitude:
-    """Same union bound as p_fixed_exact but summed in log space with
-    log-gamma binomials, for column counts where exact rationals are
-    impractically slow."""
+    """Same union bound as p_fixed_exact but summed in log space, for
+    column counts where exact rationals are impractically slow.  Every
+    binomial is three lookups in one table of ln x! (math.lgamma), and
+    both sums go through a single _log10_sum."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    log_denom = 2.0 * _log_comb(float(n), float(r))
+    ln_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
+    def ln_comb(a, b):
+        return ln_fact[a] - ln_fact[b] - ln_fact[a - b]
+
+    # psi runs over u in [lo, r], phi over its prefix u <= min(r, n - r);
+    # both share the factor C(r,u) C(n-r,r-u) / C(n,r)^2.
     lo = max(0, 2 * r - n)
-    hi1 = min(r, n - r)
-    if lo <= hi1:
-        u = np.arange(lo, hi1 + 1, dtype=float)
-        log_phi = (
-            _log_comb(float(r), u)
-            + _log_comb(float(n - r), r - u)
-            + _log_comb(n - u, float(r))
-            - log_denom
-        )
-        log_s1 = float(logsumexp(log_phi))
-    else:
-        log_s1 = -math.inf
-
-    u = np.arange(lo, r + 1, dtype=float)
-    log_psi = (
-        _log_comb(float(r), u)
-        + _log_comb(float(n - r), r - u)
-        + _log_comb(n - u, float(n - r))
-        - log_denom
+    u = np.arange(lo, r + 1)
+    shared = ln_comb(r, u) + ln_comb(n - r, r - u) - 2.0 * ln_comb(n, r)
+    phi_u = u[: max(0, min(r, n - r) - lo + 1)]
+    ln_phi = shared[: len(phi_u)] + ln_comb(n - phi_u, r)
+    ln_psi = shared + ln_comb(n - u, n - r) + math.log(3.0)
+    return LogMagnitude.from_log10(
+        _log10_sum(np.concatenate([ln_phi, ln_psi]) / _LN10)
     )
-    log_s2 = float(logsumexp(log_psi))
-
-    log10_p = _log10_sum([log_s1 / _LN10, math.log10(3.0) + log_s2 / _LN10])
-    return LogMagnitude.from_log10(log10_p)
 
 
 def fixed_deficiency_prob(n: int, r: int) -> LogMagnitude:
@@ -291,22 +279,11 @@ def psi_ratio_roots(n: int, r: int) -> QuadraticRoots:
 # Asymptotic profile of the fixed-weight sums at density alpha = r / n
 
 
-def _pow_self(x: float) -> float:
-    """x^x with the 0^0 = 1 convention.  Tiny negative x (rounding noise
-    from subtractive cancellation at domain boundaries) is clamped to 0;
-    genuinely negative x is a caller bug.
-    """
-    if x < 0.0:
-        if x > -1e-12:
-            return 1.0
-        raise ValueError(f"negative base {x} in x^x")
-    if x == 0.0:
-        return 1.0
-    return x**x
-
-
 def _log_pow_self(x: float) -> float:
-    """ln(x^x) = x ln x with the same clamping as _pow_self."""
+    """ln(x^x) = x ln x with the 0 ln 0 = 0 convention.  Tiny negative x
+    (rounding noise from subtractive cancellation at domain boundaries)
+    is clamped to 0; genuinely negative x is a caller bug.
+    """
     if x < 0.0:
         if x > -1e-12:
             return 0.0
@@ -432,3 +409,27 @@ def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitud
             p = LogMagnitude.from_log10(0.0)
         return lll_max_rows(p)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# One dispatch from the model names of the command line and scripts
+
+#: Column counts and, per model, densities of the reference bound tables.
+TABLE_NS = (10_000, 100_000, 300_000, 1_000_000)
+TABLE_ALPHAS = {
+    "independent": ("0.1669", "0.2", "1/3", "0.5", "2/3", "0.7395", "0.8"),
+    "fixed-asymptotic": ("0.1685", "0.2", "1/3", "0.5", "2/3", "0.7395", "0.8"),
+}
+
+
+def row_bound(model: str, alpha: Fraction, n: int) -> LogMagnitude:
+    """Row bound under a named model: "independent" (zeta),
+    "fixed-asymptotic" (nu's closed form) or "fixed-exact" (nu on the
+    exact union bound, which needs alpha * n to be an integer)."""
+    if model == "independent":
+        return zeta(float(alpha), n)
+    if model == "fixed-asymptotic":
+        return nu(alpha, n, mode="asymptotic")
+    if model == "fixed-exact":
+        return nu(alpha, n, mode="exact-sum")
+    raise ValueError(f"unknown model {model!r}")

@@ -19,19 +19,12 @@ from . import bounds, construct, exact, optimize, verify
 from .core import (
     GEKR,
     ArrayMatrix,
-    LogMagnitude,
     ModelParams,
     PatternSet,
     parse_alpha,
     parse_array,
     render_magnitude,
 )
-
-_TABLE_NS = (10_000, 100_000, 300_000, 1_000_000)
-_TABLE_ALPHAS = {
-    "independent": ("0.1669", "0.2", "1/3", "0.5", "2/3", "0.7395", "0.8"),
-    "fixed-asymptotic": ("0.1685", "0.2", "1/3", "0.5", "2/3", "0.7395", "0.8"),
-}
 
 
 def _split_tokens(text: str) -> list[str]:
@@ -40,14 +33,14 @@ def _split_tokens(text: str) -> list[str]:
 
 def _parse_n(parser: argparse.ArgumentParser, token: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        parser.error(f"bad column count {token!r}")
-    if value != int(value) or value < 1:
+        try:
+            value = float(token)
+        except ValueError:
+            parser.error(f"bad column count {token!r}")
+    # A float must be whole; inf and nan are not.
+    if (isinstance(value, float) and not value.is_integer()) or value < 1:
         parser.error(f"column count must be a positive integer, got {token!r}")
     return int(value)
 
@@ -56,6 +49,8 @@ def _resolve_alpha(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Fraction:
     """Density from --alpha or --k/--n, validated to (0, 1]."""
+    if args.n < 1:
+        parser.error(f"need n >= 1, got {args.n}")
     if args.alpha is not None and getattr(args, "k", None) is not None:
         parser.error("give either --alpha or --k, not both")
     if args.alpha is not None:
@@ -72,27 +67,10 @@ def _resolve_alpha(
     return alpha
 
 
-def _integer_weight(
-    parser: argparse.ArgumentParser, alpha: Fraction, n: int
-) -> int:
-    r = alpha * n
-    if r.denominator != 1:
-        parser.error(
-            f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{n}"
-        )
-    return int(r)
-
-
 def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     alpha = _resolve_alpha(parser, args)
     try:
-        if args.model == "independent":
-            value = bounds.zeta(float(alpha), args.n)
-        elif args.model == "fixed-asymptotic":
-            value = bounds.nu(alpha, args.n, mode="asymptotic")
-        else:
-            _integer_weight(parser, alpha, args.n)
-            value = bounds.nu(alpha, args.n, mode="exact-sum")
+        value = bounds.row_bound(args.model, alpha, args.n)
     except ValueError as exc:
         parser.error(str(exc))
     mantissa, exponent = value.scientific()
@@ -118,11 +96,11 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     alpha_tokens = (
         _split_tokens(args.alphas) if args.alphas is not None
-        else list(_TABLE_ALPHAS[args.model])
+        else list(bounds.TABLE_ALPHAS[args.model])
     )
     n_tokens = (
         _split_tokens(args.ns) if args.ns is not None
-        else [str(n) for n in _TABLE_NS]
+        else [str(n) for n in bounds.TABLE_NS]
     )
     if not alpha_tokens:
         parser.error("alpha grid is empty")
@@ -142,10 +120,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     print("alpha,n,log10_m,rendered")
     for tok, alpha in grid:
         for n in ns:
-            if args.model == "independent":
-                value = bounds.zeta(float(alpha), n)
-            else:
-                value = bounds.nu(alpha, n, mode="asymptotic")
+            value = bounds.row_bound(args.model, alpha, n)
             print(f"{tok},{n},{value.log10:.9f},{render_magnitude(value)}")
     return 0
 
@@ -189,8 +164,10 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     try:
         if args.model == "independent":
             params = ModelParams.independent(alpha, args.n)
+        elif (alpha * args.n).denominator == 1:
+            params = ModelParams.fixed_weight(args.n, int(alpha * args.n))
         else:
-            params = ModelParams.fixed_weight(args.n, _integer_weight(parser, alpha, args.n))
+            parser.error(f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{args.n}")
         strategy = construct.Strategy(args.strategy)
         if args.m is None and strategy is not construct.Strategy.GREEDY:
             parser.error("--m is required for this strategy")
@@ -231,7 +208,10 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.model == "independent":
-        alpha_star, p_star = optimize.argmin_independent(args.n)
+        try:
+            alpha_star, p_star = optimize.argmin_independent(args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"alpha_star = {alpha_star:.6f}")
         print(f"p = {render_magnitude(p_star)}")
         print(f"log10 p = {p_star.log10:.9f}")

@@ -53,6 +53,8 @@ class ConstructionConfig:
     def __post_init__(self) -> None:
         if self.m < 0:
             raise ValueError(f"row count must be non-negative, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_resamples < 1:
             raise ValueError("max_resamples must be positive")
         if self.attempts_per_row < 1:

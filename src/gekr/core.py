@@ -249,8 +249,7 @@ class ArrayMatrix:
 
     def row_bits(self, i: int) -> tuple[int, ...]:
         """Row i as a tuple of 0/1 column values."""
-        row = self.rows[i]
-        return tuple((row >> j) & 1 for j in range(self.n))
+        return tuple(map(int, format(self.rows[i], f"0{self.n}b")[::-1]))
 
     def to_text(self) -> str:
         """Render as one '0'/'1' line per row, LF-terminated."""

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gekr import bounds
+from gekr.cli import main
 from gekr.core import LogMagnitude, render_magnitude
 
 LN10 = math.log(10.0)
@@ -162,10 +164,15 @@ class TestFixedWeightExact:
         assert 0 < p <= 4
 
     def test_log_regime_matches_exact(self):
-        for n, r in [(40, 20), (100, 66), (200, 50), (501, 200)]:
+        for n, r in [
+            (40, 20), (100, 66), (200, 50), (400, 1), (400, 133), (400, 267),
+            (400, 400), (450, 300), (499, 366), (500, 250), (501, 200), (600, 450),
+            (750, 520), (1000, 667), (1000, 999), (1200, 300), (1500, 1100),
+            (2000, 1479), (2000, 1990), (2000, 2000),
+        ]:
             exact = LogMagnitude.from_fraction(bounds.p_fixed_exact(n, r))
             logged = bounds.p_fixed_log10(n, r)
-            assert logged.log10 == pytest.approx(exact.log10, abs=1e-9)
+            assert logged.log10 == pytest.approx(exact.log10, abs=1e-9), (n, r)
 
     def test_dispatcher_regimes(self):
         lo = bounds.fixed_deficiency_prob(30, 20)
@@ -175,6 +182,127 @@ class TestFixedWeightExact:
         )
         hi = bounds.fixed_deficiency_prob(600, 300)
         assert hi.log10 == pytest.approx(bounds.p_fixed_log10(600, 300).log10)
+
+
+# p_fixed_log10(n, r).log10 as printed by the scipy (gammaln/logsumexp)
+# implementation this package used before its lgamma table.
+SCIPY_LOG10 = [
+    (501, 61, -0.3987601385214827),
+    (501, 164, -8.860796831381103),
+    (501, 258, -40.894352839083986),
+    (501, 488, -17.81563893288142),
+    (777, 525, -82.67637041123618),
+    (777, 663, -75.47730694039834),
+    (777, 106, -0.8793237107730776),
+    (777, 229, -9.744918759429513),
+    (1000, 917, -75.22160428980177),
+    (1000, 616, -99.82709092595233),
+    (1000, 637, -102.58362610228019),
+    (1000, 570, -92.56911645639593),
+    (2000, 862, -91.1178862669124),
+    (2000, 1605, -212.566344007591),
+    (2000, 1173, -191.23531943893056),
+    (2000, 1122, -182.49359808367706),
+    (5000, 4022, -531.2111987638581),
+    (5000, 4805, -241.42850121862227),
+    (5000, 3614, -547.9221650729112),
+    (5000, 1966, -164.63431999555564),
+    (10000, 42, 0.5458185550074455),
+    (10000, 1323, -10.30805051323329),
+    (10000, 1815, -27.18698120214194),
+    (10000, 4707, -630.5994163618792),
+    (20000, 3213, -37.33770535300565),
+    (20000, 14735, -2197.37977366281),
+    (20000, 377, -0.0569847499233532),
+    (20000, 16066, -2129.12184132071),
+    (50000, 44525, -4344.668188738021),
+    (50000, 20594, -1937.5787117849547),
+    (50000, 13778, -504.90984337270396),
+    (50000, 26033, -4190.712417934129),
+    (100000, 32967, -1811.852306716265),
+    (100000, 45569, -5586.078317381849),
+    (100000, 46746, -6144.205235949936),
+    (100000, 49329, -7548.643455034526),
+    (300000, 269268, -25276.232122212263),
+    (300000, 40014, -317.00754594960466),
+    (1000000, 758238, -109630.9711151766),
+    (1000000, 356930, -23636.162391462334),
+    (501, 1, 0.6014102291901187),
+    (1000, 667, -105.80579378161836),
+    (1000, 999, -2.222065951163691),
+    (10000, 10000, 0.47712125471966244),
+    (50000, 15131, -683.6991148420032),
+    (1000000, 740000, -109902.59319277722),
+]
+
+
+class TestFixedWeightLog:
+    @pytest.mark.parametrize("n,r,old", SCIPY_LOG10)
+    def test_matches_scipy_path(self, n, r, old):
+        # Relative to log10 p, with an absolute floor: both paths subtract
+        # log-factorials near n ln n, so each carries an absolute error of
+        # a few units in the last place of ln n!, which a purely relative
+        # bound cannot allow for where p is near 1 and log10 p near 0.
+        new = bounds.p_fixed_log10(n, r).log10
+        assert math.isclose(new, old, rel_tol=1e-12, abs_tol=1e-15 * n * math.log(n))
+
+    @pytest.mark.parametrize(
+        "k,stdout",
+        [(3611, "4.06e122\nlog10 = 122.608775608\n"),
+         (4997, "4.50e396\nlog10 = 396.652855553\n"),
+         (6926, "1.67e541\nlog10 = 541.223642388\n"),
+         (8580, "1.54e483\nlog10 = 483.187497951\n")],
+    )
+    def test_cli_lines_unchanged(self, k, stdout, capsys):
+        # Captured from `gekr bound --model fixed-exact` on the scipy path.
+        assert main(["bound", "--model", "fixed-exact", "--k", str(k), "--n", "10000"]) == 0
+        assert capsys.readouterr().out == stdout
+
+    def test_mpmath_digit(self):
+        # mpmath at 40 digits puts this bound at 341.5443645504862; the
+        # scipy path printed ...551.
+        m = bounds.nu(Fraction(15131, 50000), 50000, mode="exact-sum")
+        assert f"{m.log10:.9f}" == "341.544364550"
+
+    def test_log10_sum(self):
+        assert bounds._log10_sum([]) == -math.inf
+        assert bounds._log10_sum([-math.inf, -math.inf]) == -math.inf
+        assert bounds._log10_sum([2.0, -math.inf]) == 2.0
+        assert bounds._log10_sum(np.array([1.0, 1.0])) == pytest.approx(1.0 + math.log10(2.0))
+        # A term 40 decades down is below any float's rounding of the sum.
+        assert bounds._log10_sum([0.0, -41.0]) == 0.0
+
+
+class TestRowBound:
+    def test_models_match_direct_calls(self):
+        alpha = Fraction(7, 10)
+        assert bounds.row_bound("independent", alpha, 1000) == bounds.zeta(0.7, 1000)
+        assert bounds.row_bound("fixed-asymptotic", alpha, 1000) == bounds.nu(alpha, 1000)
+        assert bounds.row_bound("fixed-exact", alpha, 1000) == bounds.nu(
+            alpha, 1000, mode="exact-sum"
+        )
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            bounds.row_bound("fixed", Fraction(1, 2), 100)
+        with pytest.raises(ValueError, match="integer row weight"):
+            bounds.row_bound("fixed-exact", Fraction(1, 3), 100)
+
+    def test_calls_through_module_names(self, monkeypatch):
+        # Wrappers installed on bounds.zeta / bounds.nu (as a tracer does)
+        # see every call, with the mode passed by keyword.
+        calls = []
+        for name in ("zeta", "nu"):
+            real = getattr(bounds, name)
+            monkeypatch.setattr(
+                bounds, name,
+                lambda *a, _real=real, _name=name, **kw: calls.append((_name, kw)) or _real(*a, **kw),
+            )
+        for model in ("independent", "fixed-asymptotic", "fixed-exact"):
+            bounds.row_bound(model, Fraction(1, 2), 100)
+        assert calls == [
+            ("zeta", {}), ("nu", {"mode": "asymptotic"}), ("nu", {"mode": "exact-sum"})
+        ]
 
 
 class TestRatioRoots:
@@ -204,30 +332,24 @@ class TestRatioRoots:
             bounds.psi_ratio_roots(10, 0)
 
 
-def _float_argmax_phi(n: int, r: int) -> int:
-    import numpy as np
+def _ln_comb(a: int, b: int) -> float:
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
+
+def _float_argmax_phi(n: int, r: int) -> int:
     lo, hi = max(0, 2 * r - n), min(r, n - r)
-    u = np.arange(lo, hi + 1, dtype=float)
-    logs = (
-        bounds._log_comb(float(r), u)
-        + bounds._log_comb(float(n - r), r - u)
-        + bounds._log_comb(n - u, float(r))
+    return max(
+        range(lo, hi + 1),
+        key=lambda u: _ln_comb(r, u) + _ln_comb(n - r, r - u) + _ln_comb(n - u, r),
     )
-    return lo + int(np.argmax(logs))
 
 
 def _float_argmax_psi(n: int, r: int) -> int:
-    import numpy as np
-
     lo = max(0, 2 * r - n)
-    u = np.arange(lo, r + 1, dtype=float)
-    logs = (
-        bounds._log_comb(float(r), u)
-        + bounds._log_comb(float(n - r), r - u)
-        + bounds._log_comb(n - u, float(n - r))
+    return max(
+        range(lo, r + 1),
+        key=lambda u: _ln_comb(r, u) + _ln_comb(n - r, r - u) + _ln_comb(n - u, n - r),
     )
-    return lo + int(np.argmax(logs))
 
 
 class TestAsymptoticProfile:

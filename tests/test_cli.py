@@ -73,6 +73,10 @@ class TestBound:
         assert cli(["bound", "--model", "independent", "--alpha", "0.5", "--k", "3", "--n", "10"])[0] == 2
         assert cli(["bound", "--model", "fixed-exact", "--alpha", "0.123", "--n", "10"])[0] == 2
         assert cli(["bound", "--model", "unknown", "--alpha", "0.5", "--n", "10"])[0] == 2
+        for model in ("independent", "fixed-exact"):
+            code, _, err = cli(["bound", "--model", model, "--k", "1", "--n", "0"])
+            assert code == 2
+            assert "need n >= 1" in err
 
 
 class TestTable:
@@ -107,6 +111,10 @@ class TestTable:
         assert cli(["table", "--model", "independent", "--alphas", ""])[0] == 2
         assert cli(["table", "--model", "independent", "--alphas", "0.5", "--ns", "ten"])[0] == 2
         assert cli(["table", "--model", "independent", "--alphas", "1.2"])[0] == 2
+        for bad in ("inf", "nan", "-inf", "1e400", "2.5", "0"):
+            code, _, err = cli(["table", "--model", "independent", f"--ns={bad}"])
+            assert code == 2, bad
+            assert "column count" in err
 
 
 class TestVerify:
@@ -225,6 +233,13 @@ class TestConstruct:
         # moser-tardos needs a target row count
         assert cli(["construct", "--model", "fixed", "--k", "3", "--n", "6"])[0] == 2
         assert cli(["construct", "--model", "fixed", "--alpha", "1/3", "--n", "10", "--m", "2", "--k", "3"])[0] == 2
+        code, _, err = cli(["construct", "--k", "3", "--n", "6", "--m", "4", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be non-negative" in err
+        assert cli(["construct", "--k", "1", "--n", "0", "--m", "2"])[0] == 2
+        code, _, err = cli(["construct", "--alpha", "0.123", "--n", "10", "--m", "2"])
+        assert code == 2
+        assert "integer weight" in err
 
 
 class TestOptimize:
@@ -241,6 +256,13 @@ class TestOptimize:
         alpha_star = float(lines[0].split("=")[1])
         assert 0.7385 <= alpha_star <= 0.7405
         assert lines[1].startswith("mu_star = 0.776419")
+
+    def test_usage_errors(self, cli):
+        for n in ("0", "-3"):
+            code, out, err = cli(["optimize", "--model", "independent", "--n", n])
+            assert code == 2
+            assert out == ""
+            assert "need n >= 1" in err
 
 
 class TestFigure:

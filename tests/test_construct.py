@@ -295,6 +295,8 @@ class TestConfigAndRun:
             ConstructionConfig(params=FIXED_20_14, m=3, seed=0, max_resamples=0)
         with pytest.raises(ValueError):
             ConstructionConfig(params=FIXED_20_14, m=3, seed=0, attempts_per_row=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ConstructionConfig(params=FIXED_20_14, m=3, seed=-1)
 
     def test_run_dispatch(self):
         for strategy in Strategy:

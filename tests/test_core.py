@@ -171,6 +171,15 @@ class TestArrayMatrix:
         assert arr.weights() == (2, 2)
         assert arr.row_bits(0) == (1, 1, 0)
 
+    @given(st.integers(min_value=1, max_value=130).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+    ))
+    def test_row_bits_column_order(self, case):
+        n, row = case
+        bits = ArrayMatrix(n=n, rows=(row,)).row_bits(0)
+        assert bits == tuple((row >> j) & 1 for j in range(n))
+        assert all(type(b) is int for b in bits)
+
     @given(
         st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=8)
     )
