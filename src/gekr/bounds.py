@@ -293,6 +293,12 @@ def _log_pow_self(x: float) -> float:
     return x * math.log(x)
 
 
+def discriminant_lead(alpha: float) -> float:
+    """e(alpha), the n^4 coefficient of the phi discriminant at r = alpha n:
+    1 - 3a^4 + 8a^3 - 6a^2, factored to avoid cancellation near a = 1."""
+    return (1.0 - alpha) ** 3 * (1.0 + 3.0 * alpha)
+
+
 @dataclass(frozen=True)
 class AsymptoticProfile:
     """Large-n behaviour of the fixed-weight sums at density alpha.
@@ -323,9 +329,7 @@ def asymptotic_profile(alpha: float) -> AsymptoticProfile:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     a = float(alpha)
 
-    # The quartic 1 - 3a^4 + 8a^3 - 6a^2 factors as (1-a)^3 (1+3a);
-    # the factored form avoids catastrophic cancellation near a = 1.
-    e_coeff = (1.0 - a) ** 3 * (1.0 + 3.0 * a)
+    e_coeff = discriminant_lead(a)
     f_coeff = -2.0 * a**2 + 4.0 * a**3 + 6.0 - 8.0 * a
 
     beta: float | None = None

@@ -31,26 +31,30 @@ def _split_tokens(text: str) -> list[str]:
     return [tok for tok in (t.strip() for t in text.split(",")) if tok]
 
 
-def _parse_n(parser: argparse.ArgumentParser, token: str) -> int:
+def _parse_n(token: str) -> int:
+    """Column count (the type of every --n): a whole number from 1 up to
+    the largest float, so that every bound formula can take it."""
     try:
         value = int(token)
     except ValueError:
         try:
             value = float(token)
         except ValueError:
-            parser.error(f"bad column count {token!r}")
+            raise argparse.ArgumentTypeError(f"bad column count {token!r}") from None
     # A float must be whole; inf and nan are not.
-    if (isinstance(value, float) and not value.is_integer()) or value < 1:
-        parser.error(f"column count must be a positive integer, got {token!r}")
+    if isinstance(value, float) and not value.is_integer() or not 1 <= value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"column count {token!r}: need n >= 1, whole, <= 1.8e308")
     return int(value)
+
+
+def _parse_ns(text: str) -> list[int]:
+    return [_parse_n(tok) for tok in _split_tokens(text)]
 
 
 def _resolve_alpha(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Fraction:
     """Density from --alpha or --k/--n, validated to (0, 1]."""
-    if args.n < 1:
-        parser.error(f"need n >= 1, got {args.n}")
     if args.alpha is not None and getattr(args, "k", None) is not None:
         parser.error("give either --alpha or --k, not both")
     if args.alpha is not None:
@@ -98,13 +102,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         _split_tokens(args.alphas) if args.alphas is not None
         else list(bounds.TABLE_ALPHAS[args.model])
     )
-    n_tokens = (
-        _split_tokens(args.ns) if args.ns is not None
-        else [str(n) for n in bounds.TABLE_NS]
-    )
+    ns = args.ns if args.ns is not None else list(bounds.TABLE_NS)
     if not alpha_tokens:
         parser.error("alpha grid is empty")
-    if not n_tokens:
+    if not ns:
         parser.error("n grid is empty")
     grid = []
     for tok in alpha_tokens:
@@ -115,7 +116,6 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if not 0 < alpha <= 1:
             parser.error(f"density must be in (0, 1], got {tok!r}")
         grid.append((tok, alpha))
-    ns = [_parse_n(parser, tok) for tok in n_tokens]
 
     print("alpha,n,log10_m,rendered")
     for tok, alpha in grid:
@@ -126,6 +126,8 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"workers must be at least 1, got {args.workers}")
     try:
         if args.path == "-":
             text = sys.stdin.read()
@@ -143,7 +145,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = verify.find_deficient(array, patterns, workers=args.workers)
+        report = verify.find_deficient(array, patterns)
     except ValueError as exc:
         parser.error(str(exc))
     if report.ok:
@@ -153,9 +155,12 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         f"deficient: {report.deficient_count} of {report.total_checked} triples"
     )
     if args.list_deficient:
+        # One write, not one per line: the listing can run to millions of lines.
+        lines = []
         for (i, j, l), missing in zip(report.deficient, report.missing):
             gaps = ",".join("".join(map(str, pat)) for pat in sorted(missing))
-            print(f"{i} {j} {l} missing={gaps}")
+            lines.append(f"{i} {j} {l} missing={gaps}")
+        print("\n".join(lines))
     return 1
 
 
@@ -188,6 +193,8 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     log.setLevel(logging.INFO)
     try:
         result = construct.run(config)
+    except ValueError as exc:
+        parser.error(str(exc))
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bound.add_argument("--alpha", help="density as decimal or fraction, e.g. 2/3")
     p_bound.add_argument("--k", type=int, help="row weight (fixed-weight models)")
-    p_bound.add_argument("--n", type=int, required=True, help="column count")
+    p_bound.add_argument("--n", type=_parse_n, required=True, help="column count")
     p_bound.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="bound table over an alpha x n grid")
@@ -275,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", required=True, choices=["independent", "fixed-asymptotic"]
     )
     p_table.add_argument("--alphas", help="comma-separated densities")
-    p_table.add_argument("--ns", help="comma-separated column counts")
+    p_table.add_argument("--ns", type=_parse_ns, help="comma-separated column counts")
 
     p_verify = sub.add_parser("verify", help="check an array file ('-' = stdin)")
     p_verify.add_argument("path")
     p_verify.add_argument("--patterns", help="comma-separated triples, e.g. 011,111")
     p_verify.add_argument("--list-deficient", action="store_true")
-    p_verify.add_argument("--workers", type=int, default=None)
+    p_verify.add_argument("--workers", type=int, help="ignored (at least 1): one process scans")
 
     p_construct = sub.add_parser("construct", help="build an array by resampling")
     p_construct.add_argument(
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument("--alpha", help="density as decimal or fraction")
     p_construct.add_argument("--k", type=int, help="row weight (fixed model)")
-    p_construct.add_argument("--n", type=int, required=True)
+    p_construct.add_argument("--n", type=_parse_n, required=True)
     p_construct.add_argument("--m", type=int, help="target row count")
     p_construct.add_argument("--seed", type=int, default=0)
     p_construct.add_argument(
@@ -305,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument(
         "--model", required=True, choices=["independent", "fixed"]
     )
-    p_optimize.add_argument("--n", type=int, default=10_000)
+    p_optimize.add_argument("--n", type=_parse_n, default=10_000)
 
     p_figure = sub.add_parser("figure", help="CSV data behind a reference figure")
     p_figure.add_argument("figure", type=int, choices=[1, 2, 3, 4])
     p_figure.add_argument("--grid-step", type=float, default=0.005)
 
     p_max = sub.add_parser("maxfamily", help="exact largest GEKR family")
-    p_max.add_argument("--n", type=int, required=True)
+    p_max.add_argument("--n", type=_parse_n, required=True)
     p_max.add_argument("--k", type=int, required=True)
     p_max.add_argument("--node-limit", type=int, default=5_000_000)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import asymptotic_profile, p_independent
+from .bounds import asymptotic_profile, discriminant_lead, p_independent
 from .core import LogMagnitude
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -144,10 +144,8 @@ def figure_data(figure: int, grid_step: float = 0.005) -> FigureTable:
         rows = []
         for alpha in _grid(0.0, 1.0 - grid_step, grid_step):
             lo, hi = _term_range_fractions(alpha)
-            # Leading discriminant coefficient factors as (1-a)^3 (1+3a),
-            # non-negative on all of [0, 1), so both curves exist here.
-            e = (1.0 - alpha) ** 3 * (1.0 + 3.0 * alpha)
-            root = math.sqrt(e)
+            # e(alpha) >= 0 on all of [0, 1), so both curves exist here.
+            root = math.sqrt(discriminant_lead(alpha))
             u1 = (1.0 - alpha * alpha - root) / (2.0 - 2.0 * alpha)
             u2 = (1.0 - alpha * alpha + root) / (2.0 - 2.0 * alpha)
             rows.append((alpha, lo, hi, u1, u2))

@@ -24,20 +24,33 @@ mask of all guard bits, the triple is deficient iff
     ((pair & row) + K) & H != H.
 
 Only for a deficient triple does Lanes.missing read back which guard
-bits stayed clear, that is, which lanes of pair & row are zero.  Pair
-values are hoisted out of the innermost loop of a scan, so each further
-triple costs the AND, the add and the mask.
+bits stayed clear, that is, which lanes of pair & row are zero.
+
+A scan tests a row block per operation.  Slot s of a block is the lane
+value at bits s*S.. of S = P*w bits, for P patterns.  Block j holds
+seconds[j] & thirds[l] in slot l - j - 1 for each l > j, padded to a
+multiple of PAD slots with seconds[j] alone (a third of full lanes).
+firsts[i] copied into every slot, ANDed with block j, holds triple
+(i, j, j + 1 + s) in slot s, and with K and H repeated once per slot,
+((spread & block) + K) & H != H tests every l at once.  The clear guard
+bits decode to the deficient slots, lowest l first.  A padding slot
+fails only where every real slot does, so decoding stops at the first
+one.  The blocks take about comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import GEKR, ArrayMatrix, DeficiencyReport, Pattern, PatternSet, pack_row
+
+#: Blocks are padded to a multiple of PAD slots, so K and H are kept for
+#: multiples of PAD slots only.
+PAD = 16
+#: Most bytes that the blocks and carry constants of a TripleScan may take.
+MAX_BLOCK_BYTES = 1 << 30
 
 
 class Lanes:
@@ -128,56 +141,98 @@ def triples_through(m: int, triple: tuple[int, int, int] | None) -> int:
     return comb(m, 3) - comb(m - i, 3) + comb(m - i - 1, 2) - comb(m - j, 2) + (l - j)
 
 
+def _padded(c: int) -> int:
+    return -(-max(c, 0) // PAD) * PAD
+
+
+def _set_slots(bits: int, slot: int, base: int) -> Iterator[int]:
+    """base plus the index of each slot holding a set bit, lowest first."""
+    while bits:
+        skip = ((bits & -bits).bit_length() - 1) // slot
+        yield base + skip
+        bits >>= (skip + 1) * slot
+        base += skip + 1
+
+
 class TripleScan:
     """Deficient triples of m rows, some of which may be replaced between
-    searches.  The lane values of every row at each place of a triple are
-    computed once and kept.
+    searches.  The lane values of every row at each place of a triple,
+    and the blocks of the module docstring, are computed once and kept;
+    ValueError if the blocks would pass MAX_BLOCK_BYTES.
 
     scan is the lexicographic forward loop.  first and replace make it
     incremental for a resampling loop such as Moser-Tardos.  They keep a
     cursor, the first triple not yet known to be clean, and found, the
     deficient triples before it; every other triple before the cursor is
     clean.  first returns min(found), or runs scan from the cursor until
-    it meets a deficient triple.  replace drops the found triples that hold
-    a replaced row and tests again every triple before the cursor that
-    holds one, about 3 m^2 / 2 of them for three rows.  Either way the
-    answer is the lexicographically first deficient triple of the current
-    rows, as first_deficient_triple would give, and only the first full
-    pass costs comb(m, 3) tests.  checked counts the tests made.
+    it meets a deficient triple.  replace patches the blocks, drops the
+    found triples that hold a replaced row and tests again every triple
+    before the cursor that holds one, about 3 m^2 / 2 of them for three
+    rows.  Either way the answer is the lexicographically first deficient
+    triple of the current rows, as first_deficient_triple would give, and
+    only the first full pass costs comb(m, 3) tests.  checked counts the
+    tests made.
     """
 
     def __init__(self, rows: Sequence[int], n: int, patterns: PatternSet = GEKR) -> None:
-        self.lanes = Lanes(patterns, n)
-        self.m = len(rows)
-        self.firsts = [self.lanes.row(row, 0) for row in rows]
-        self.seconds = [self.lanes.row(row, 1) for row in rows]
-        self.thirds = [self.lanes.row(row) for row in rows]
+        lanes = self.lanes = Lanes(patterns, n)
+        m = self.m = len(rows)
+        slot = self.slot = len(lanes.patterns) * lanes.width
+        top = self._top = _padded(m - 2)  # slots of block 1, the longest scanned
+        # Blocks 1 to m - 2, then K and H for every padded length; CPython
+        # keeps 30 bits in 4 bytes.
+        slots = sum(map(_padded, range(1, m - 1))) + top * (top // PAD + 1)
+        if (need := slots * slot // 30 * 4) > MAX_BLOCK_BYTES:
+            raise ValueError(f"{m} rows need {need} bytes, past the limit of {MAX_BLOCK_BYTES}")
+        self.firsts = [lanes.row(row, 0) for row in rows]
+        self.seconds = [lanes.row(row, 1) for row in rows]
+        self.thirds = [lanes.row(row) for row in rows]
+        self._feet = ((1 << top * slot) - 1) // ((1 << slot) - 1)  # x * feet: x in every slot
+        # Every third in its slot, then full lanes for the padding.
+        self._tape = sum(t << l * slot for l, t in enumerate(self.thirds + [lanes._k] * PAD))
+        feet = (self._feet >> (top - c) * slot for c in range(0, top + 1, PAD))
+        carry = [(lanes._k * f, lanes._h * f) for f in feet]
+        # _blocks[j]: block j with the K and H of its padded length; j = 0
+        # has no block, since a scanned triple has j > i >= 0.
+        self._blocks = [
+            (self._block(j), *carry[_padded(m - 1 - j) // PAD]) if j else (0, 0, 0)
+            for j in range(m - 1)
+        ]
         self.cursor = (0, 0, 0)  # scan reads this as the first triple, (0, 1, 2)
         self.found: set[tuple[int, int, int]] = set()
         self.checked = 0
         self._passed = 0  # triples before the cursor
 
+    def _block(self, j: int) -> int:
+        slots = _padded(self.m - 1 - j)
+        spread = self.seconds[j] * (self._feet >> (self._top - slots) * self.slot)
+        return spread & self._tape >> (j + 1) * self.slot
+
     def scan(
-        self, start: tuple[int, int, int], i_stop: int, stop_early: bool
+        self, start: tuple[int, int, int], stop_early: bool
     ) -> list[tuple[int, int, int, frozenset[Pattern]]]:
-        """Deficient triples from start (inclusive) up to first index
-        i_stop (exclusive), in lexicographic order.  start need not be an
-        increasing triple: (i, 0, 0) begins at the first triple of row i."""
-        m = self.m
-        lanes = self.lanes
-        deficient = lanes.deficient
+        """Deficient triples from start (inclusive) on, in lexicographic
+        order.  start need not be an increasing triple: (i, 0, 0) begins
+        at the first triple of row i."""
+        m, slot, lanes = self.m, self.slot, self.lanes
         firsts, seconds, thirds = self.firsts, self.seconds, self.thirds
+        blocks, feet = self._blocks, self._feet
         hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
         i_start, j_from, l_from = start
-        for i in range(i_start, i_stop):
-            first = firsts[i]
+        for i in range(i_start, m - 2):
+            spread = firsts[i] * feet
             for j in range(max(j_from, i + 1), m - 1):
-                pair = first & seconds[j]
-                for l in range(max(l_from, j + 1), m):
-                    if deficient(pair, thirds[l]):
-                        hits.append((i, j, l, lanes.missing(pair, thirds[l])))
-                        if stop_early:
-                            return hits
+                block, k, h = blocks[j]
+                guards = (spread & block) + k & h
+                if guards != h:
+                    pair = firsts[i] & seconds[j]
+                    for l in _set_slots(h ^ guards, slot, j + 1):
+                        if l >= m:
+                            break  # padding, see the module docstring
+                        if l >= l_from:
+                            hits.append((i, j, l, lanes.missing(pair, thirds[l])))
+                            if stop_early:
+                                return hits
                 l_from = 0
             j_from = l_from = 0
         return hits
@@ -185,7 +240,7 @@ class TripleScan:
     def first(self) -> tuple[int, int, int] | None:
         """Lexicographically first deficient triple of the current rows."""
         if not self.found:
-            hits = self.scan(self.cursor, self.m - 2, True)
+            hits = self.scan(self.cursor, True)
             hit = hits[0][:3] if hits else None
             passed = triples_through(self.m, hit)
             self.checked += passed - self._passed
@@ -198,12 +253,22 @@ class TripleScan:
         return min(self.found)
 
     def replace(self, rows: dict[int, int]) -> None:
-        """Put in new rows by index and bring found up to date."""
-        lanes = self.lanes
+        """Put in new rows by index and bring the blocks (slot r - j - 1 of
+        each block j < r, and block r) and found up to date."""
+        lanes, slot, blocks = self.lanes, self.slot, self._blocks
         for r, row in rows.items():
+            third = lanes.row(row)
+            change = third ^ self.thirds[r]
             self.firsts[r] = lanes.row(row, 0)
             self.seconds[r] = lanes.row(row, 1)
-            self.thirds[r] = lanes.row(row)
+            self.thirds[r] = third
+            self._tape ^= change << r * slot
+            for j in range(1, r):
+                block, k, h = blocks[j]
+                blocks[j] = (block ^ (self.seconds[j] & change) << (r - j - 1) * slot, k, h)
+        for r in rows:
+            if 0 < r < self.m - 1:
+                blocks[r] = (self._block(r), *blocks[r][1:])
         self.found = {t for t in self.found if rows.keys().isdisjoint(t)}
         for r in rows:
             self._rescan(r)
@@ -242,72 +307,16 @@ class TripleScan:
         self.checked += tested
 
 
-def _scan(
-    rows: Sequence[int],
-    n: int,
-    patterns: PatternSet,
-    i_start: int,
-    i_stop: int,
-    stop_early: bool,
-) -> list[tuple[int, int, int, frozenset[Pattern]]]:
-    """Deficient triples with first index in [i_start, i_stop), in
-    lexicographic order.  A module-level function, so that pool workers
-    can run it."""
-    return TripleScan(rows, n, patterns).scan((i_start, 0, 0), i_stop, stop_early)
-
-
-def _balanced_splits(m: int, workers: int) -> list[tuple[int, int]]:
-    """Partition the first-index range so chunks hold similar numbers of
-    triples; index i owns comb(m - i - 1, 2) of them."""
-    total = comb(m, 3)
-    target = total / workers
-    splits: list[tuple[int, int]] = []
-    start, acc = 0, 0.0
-    for i in range(m - 2):
-        acc += comb(m - i - 1, 2)
-        if acc >= target and len(splits) < workers - 1:
-            splits.append((start, i + 1))
-            start, acc = i + 1, 0.0
-    splits.append((start, max(m - 2, 0)))
-    return [s for s in splits if s[0] < s[1]]
-
-
 def find_deficient(
-    array: ArrayMatrix,
-    patterns: PatternSet = GEKR,
-    stop_early: bool = False,
-    workers: int | None = None,
+    array: ArrayMatrix, patterns: PatternSet = GEKR, stop_early: bool = False
 ) -> DeficiencyReport:
-    """Scan all increasing row triples of the array for deficiency.
-
-    Results are in lexicographic (i, j, l) order regardless of worker
-    count.  workers must be at least 1 and is capped at os.cpu_count().
-    With stop_early the scan returns after the first deficient triple;
-    total_checked is then the number of triples at or before it in
-    lexicographic order, computed by rank so it does not depend on how
-    the work was split.
+    """Scan all increasing row triples of the array for deficiency, in
+    lexicographic (i, j, l) order.  With stop_early the scan returns
+    after the first deficient triple; total_checked is then its rank plus
+    one.  ValueError if the blocks would pass MAX_BLOCK_BYTES.
     """
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        workers = min(workers, os.cpu_count() or 1)
     m = array.m
-
-    if workers is not None and workers > 1 and m >= 3:
-        chunks = _balanced_splits(m, workers)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_scan, array.rows, array.n, patterns, a, b, stop_early)
-                for a, b in chunks
-            ]
-            results = [f.result() for f in futures]
-        if stop_early:
-            hits = next((r[:1] for r in results if r), [])
-        else:
-            hits = list(itertools.chain.from_iterable(results))
-    else:
-        hits = _scan(array.rows, array.n, patterns, 0, max(m - 2, 0), stop_early)
-
+    hits = TripleScan(array.rows, array.n, patterns).scan((0, 0, 0), stop_early)
     checked = triples_through(m, hits[0][:3] if stop_early and hits else None)
     return DeficiencyReport(
         deficient=tuple((i, j, l) for i, j, l, _ in hits),

@@ -5,6 +5,9 @@ import math
 
 import pytest
 
+#: A column count past float range: 1 followed by 400 zeros.
+HUGE_N = "1" + "0" * 400
+
 from gekr import construct
 from gekr.cli import main
 from gekr.core import parse_array
@@ -77,6 +80,10 @@ class TestBound:
             code, _, err = cli(["bound", "--model", model, "--k", "1", "--n", "0"])
             assert code == 2
             assert "need n >= 1" in err
+        for model in ("independent", "fixed-asymptotic"):
+            code, out, err = cli(["bound", "--model", model, "--alpha", "0.5", "--n", HUGE_N])
+            assert (code, out) == (2, "")
+            assert "column count" in err and "Traceback" not in err
 
 
 class TestTable:
@@ -111,7 +118,7 @@ class TestTable:
         assert cli(["table", "--model", "independent", "--alphas", ""])[0] == 2
         assert cli(["table", "--model", "independent", "--alphas", "0.5", "--ns", "ten"])[0] == 2
         assert cli(["table", "--model", "independent", "--alphas", "1.2"])[0] == 2
-        for bad in ("inf", "nan", "-inf", "1e400", "2.5", "0"):
+        for bad in ("inf", "nan", "-inf", "1e400", "2.5", "0", HUGE_N):
             code, _, err = cli(["table", "--model", "independent", f"--ns={bad}"])
             assert code == 2, bad
             assert "column count" in err
@@ -263,6 +270,9 @@ class TestOptimize:
             assert code == 2
             assert out == ""
             assert "need n >= 1" in err
+        code, out, err = cli(["optimize", "--model", "independent", "--n", HUGE_N])
+        assert (code, out) == (2, "")
+        assert "column count" in err
 
 
 class TestFigure:

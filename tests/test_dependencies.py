@@ -1,13 +1,30 @@
-"""The package needs only the standard library and numpy."""
+"""The package needs only the standard library and numpy, and the test
+extra lists only what the tests import."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gekr"
+
+
+def imported_modules(paths) -> list[tuple[str, str]]:
+    """(file name, top-level module) for every absolute import."""
+    seen = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            seen += [(path.name, name.split(".")[0]) for name in names]
+    return seen
 
 
 def test_cli_import_loads_no_scipy():
@@ -25,15 +42,16 @@ def test_cli_import_loads_no_scipy():
 
 def test_imports_are_stdlib_numpy_or_gekr():
     allowed = set(sys.stdlib_module_names) | {"numpy", "gekr"}
-    seen = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            seen += [(path.name, name) for name in names]
+    seen = imported_modules(sorted(SRC.glob("*.py")))
     assert seen, "no imports found: wrong source directory"
-    assert [(f, n) for f, n in seen if n.split(".")[0] not in allowed] == []
+    assert [(f, n) for f, n in seen if n not in allowed] == []
+
+
+def test_every_test_extra_is_imported():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*?)\]", pyproject, re.S | re.M)
+    assert extra, "no test extra in pyproject.toml"
+    wanted = {re.split(r"[<>=!~\[ ]", name)[0] for name in re.findall(r'"([^"]+)"', extra[1])}
+    assert wanted, "empty test extra"
+    used = {name for _, name in imported_modules(sorted((ROOT / "tests").glob("*.py")))}
+    assert sorted(wanted - used) == []

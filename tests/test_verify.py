@@ -1,5 +1,6 @@
+import io
 import itertools
-from concurrent.futures import Future
+import random
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gekr import verify
+from gekr.cli import main
 from gekr.core import GEKR, ArrayMatrix, PatternSet, parse_array
 from gekr.verify import (
     Lanes,
@@ -119,24 +121,6 @@ class TestFindDeficient:
         rank = sorted(itertools.combinations(range(arr.m), 3)).index(first)
         assert early.total_checked == rank + 1
 
-    def test_worker_independence(self):
-        rng = np.random.default_rng(7)
-        arr = random_array(rng, 16, 10)
-        solo = find_deficient(arr)
-        for workers in (2, 3, 5):
-            multi = find_deficient(arr, workers=workers)
-            assert multi.deficient == solo.deficient
-            assert multi.missing == solo.missing
-            assert multi.total_checked == solo.total_checked
-
-    def test_worker_independence_stop_early(self):
-        rng = np.random.default_rng(8)
-        arr = random_array(rng, 14, 6)
-        solo = find_deficient(arr, stop_early=True)
-        multi = find_deficient(arr, stop_early=True, workers=3)
-        assert multi.deficient == solo.deficient
-        assert multi.total_checked == solo.total_checked
-
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(3)
         arr = random_array(rng, 10, 12)
@@ -230,7 +214,7 @@ class TestTripleScan:
         patterns = data.draw(
             st.sampled_from([GEKR, PatternSet(frozenset(ALL_PATTERNS[3:6]))])
         )
-        m = data.draw(st.integers(min_value=0, max_value=9))
+        m = data.draw(st.integers(min_value=0, max_value=30))
         n = data.draw(st.integers(min_value=1, max_value=7))
         row = st.integers(min_value=0, max_value=(1 << n) - 1)
         rows = [data.draw(row) for _ in range(m)]
@@ -254,6 +238,106 @@ class TestTripleScan:
         # One forward pass in all, and at most every triple holding a
         # replaced row per replacement.
         assert scan.checked <= comb(m, 3) + replaced * comb(max(m - 1, 0), 2)
+
+
+def biased_rows(data, m: int, n: int) -> tuple[int, ...]:
+    """m rows of n columns with a drawn density, some of them repeated,
+    so that deficient triples are neither absent nor everywhere."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95]))
+    rows = [
+        int("".join("1" if b else "0" for b in rng.random(n) < density), 2) for _ in range(m)
+    ]
+    for _ in range(data.draw(st.integers(0, 3)) if m > 1 else 0):
+        a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        rows[a] = rows[b]
+    return tuple(rows)
+
+
+class TestBlockScan:
+    """The block test against the naive oracle, with slots many machine
+    words wide and blocks past the padding multiple."""
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_match_naive(self, data):
+        patterns = PatternSet(
+            frozenset(
+                data.draw(
+                    st.lists(
+                        st.sampled_from(ALL_PATTERNS), min_size=1, max_size=8, unique=True
+                    )
+                )
+            )
+        )
+        m = data.draw(st.integers(min_value=0, max_value=40))
+        n = data.draw(st.integers(min_value=1, max_value=70))
+        arr = ArrayMatrix(n=n, rows=biased_rows(data, m, n))
+        naive = find_deficient_naive(arr, patterns)
+        assert find_deficient(arr, patterns) == naive
+        early = find_deficient(arr, patterns, stop_early=True)
+        assert early.deficient == naive.deficient[:1]
+        assert early.missing == naive.missing[:1]
+        first = naive.deficient[0] if naive.deficient else None
+        assert early.total_checked == triples_through(m, first)
+        assert TripleScan(arr.rows, n, patterns).first() == first
+        # A start in the middle of a block: l > j + 1.
+        starts = [t for t in itertools.combinations(range(m), 3) if t[2] > t[1] + 1]
+        if starts:
+            start = data.draw(st.sampled_from(starts))
+            want = [
+                (*t, miss) for t, miss in zip(naive.deficient, naive.missing) if t >= start
+            ]
+            scan = TripleScan(arr.rows, n, patterns)
+            assert scan.scan(start, False) == want
+            assert scan.scan(start, True) == want[:1]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(10, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_replacements_with_sparse_hits(self, seed, m, n):
+        # Uniform rows of 10 or more columns keep deficient triples rare,
+        # so first() often scans past the cursor through blocks that
+        # replace has patched.  A copy of another row makes every triple
+        # holding both deficient.
+        rng = random.Random(seed)
+        rows = [rng.getrandbits(n) for _ in range(m)]
+        scan = TripleScan(rows, n)
+        for _ in range(6):
+            bad = scan.first()
+            assert bad == naive_first(rows, n)
+            targets = set(bad or ()) | {rng.randrange(m) for _ in range(rng.randint(0, 2))}
+            new = {
+                r: rows[rng.randrange(m)] if rng.random() < 0.5 else rng.getrandbits(n)
+                for r in targets
+            }
+            for r, value in new.items():
+                rows[r] = value
+            scan.replace(new)
+        assert scan.first() == naive_first(rows, n)
+
+
+class TestBlockLimit:
+    def test_limit_raises(self, monkeypatch):
+        arr = random_array(np.random.default_rng(4), 12, 9)
+        monkeypatch.setattr(verify, "MAX_BLOCK_BYTES", 100)
+        with pytest.raises(ValueError, match="limit of 100"):
+            TripleScan(arr.rows, arr.n)
+        with pytest.raises(ValueError, match="limit of 100"):
+            find_deficient(arr)
+        # Fewer than three rows need no blocks.
+        assert TripleScan(arr.rows[:2], arr.n).first() is None
+
+    def test_cli_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "MAX_BLOCK_BYTES", 100)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1110\n1101\n1011\n" * 4))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-"])
+        assert exc.value.code == 2
+        assert "limit of 100" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--k", "3", "--n", "6", "--m", "12"])
+        assert exc.value.code == 2
+        assert "limit of 100" in capsys.readouterr().err
 
 
 class TestLanes:
@@ -294,60 +378,22 @@ class TestLanes:
         )
         arr = ArrayMatrix(n=n, rows=rows)
         naive = find_deficient_naive(arr, patterns)
-        for workers in (None, 2):
-            fast = find_deficient(arr, patterns, workers=workers)
-            assert fast.deficient == naive.deficient
-            assert fast.missing == naive.missing
-            assert fast.total_checked == naive.total_checked
+        fast = find_deficient(arr, patterns)
+        assert fast.deficient == naive.deficient
+        assert fast.missing == naive.missing
+        assert fast.total_checked == naive.total_checked
         gaps = dict(zip(naive.deficient, naive.missing))
         for i, j, l in itertools.combinations(range(m), 3):
             got = triple_coverage(rows[i], rows[j], rows[l], patterns=patterns, n=n)
             assert got == gaps.get((i, j, l), frozenset())
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs
-    each submitted call inline, so no process is started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers: int) -> None:
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    def submit(self, fn, *args) -> Future:
-        future: Future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestWorkerBounds:
-    def test_below_one_rejected(self):
-        for workers in (0, -3):
-            with pytest.raises(ValueError):
-                find_deficient(COVERED_3X4, workers=workers)
-
-    @pytest.mark.parametrize("cpus", [3, 5])
-    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus):
-        # The inline pool also checks that 3- and 5-way splits give the
-        # single-process answer on hosts with fewer cores.
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
-        arr = random_array(np.random.default_rng(11), 40, 6)
-        assert find_deficient(arr, workers=10_000) == find_deficient(arr)
-        early = find_deficient(arr, stop_early=True, workers=10_000)
-        assert early == find_deficient(arr, stop_early=True)
-        assert _RecordingPool.sizes == [cpus, cpus]
-
-    def test_single_cpu_skips_pool(self, monkeypatch):
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
-        assert find_deficient(COVERED_3X4, workers=8).ok
-        assert _RecordingPool.sizes == []
+    def test_below_one_rejected(self, capsys):
+        # The scan runs in one process; --workers stays accepted, with
+        # the same bound.
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "-", "--workers", workers])
+            assert exc.value.code == 2
+            assert "workers must be at least 1" in capsys.readouterr().err
