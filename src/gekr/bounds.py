@@ -37,20 +37,22 @@ LOG10_LLL_CONST = 0.5 * math.log10(2.0 / (3.0 * E_EULER))
 _LN10 = math.log(10.0)
 
 #: Column count up to which the fixed-weight probability is summed in
-#: exact rational arithmetic; beyond it we switch to log-space floats.
+#: exact rational arithmetic; beyond it we switch to log-space floats,
+#: up to FIXED_LOG_N_LIMIT columns (a table of n + 1 floats).
 EXACT_N_LIMIT = 500
+FIXED_LOG_N_LIMIT = 10**7
 
 
 def _log10_sum(terms: list[float] | np.ndarray) -> float:
     """log10 of a sum of magnitudes given by their log10s; -inf terms
-    are zeros.  Terms more than 40 decades below the largest are left
-    out (a million of them move the sum by under 1e-34 of itself); the
-    rest are added exactly rounded by math.fsum."""
+    are zeros.  The largest term is kept, with every term within 40
+    decades of it (a million more move the sum by under 1e-34 of it);
+    the kept terms are added exactly rounded by math.fsum."""
     terms = np.asarray(terms, dtype=float)
     top = terms.max(initial=-math.inf)
     if top == -math.inf:
         return -math.inf
-    near = (terms[terms > top - 40.0] - top).tolist()
+    near = (terms[terms >= top - 40.0] - top).tolist()
     return float(top) + math.log10(math.fsum(10.0**t for t in near))
 
 
@@ -182,6 +184,8 @@ def p_fixed_log10(n: int, r: int) -> LogMagnitude:
     both sums go through a single _log10_sum."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if n > FIXED_LOG_N_LIMIT:
+        raise ValueError(f"n={n} is past the limit of {FIXED_LOG_N_LIMIT} columns")
     ln_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
     def ln_comb(a, b):

@@ -6,6 +6,7 @@ costs is up to the search.  verify.TripleScan makes one forward pass
 over the comb(m, 3) triples, spread over the run, and after each
 resample tests again only the triples before its cursor that hold one
 of the three new rows, so a step costs O(m^2) tests after that pass.
+Greedy extension tests CHUNK accepted pairs per big-int operation.
 
 Reproducibility rule: every row draw comes from its own PCG64 stream,
 keyed as SeedSequence(seed, spawn_key=(row_index, epoch)).  A row's
@@ -31,6 +32,8 @@ from .verify import Lanes, TripleScan, first_deficient_triple, triples_through
 #: A progress record goes to the "gekr" logger, at INFO, every this many
 #: resampling steps.
 PROGRESS_EVERY = 10_000
+#: Accepted pairs per tape of greedy extension.
+CHUNK = 64
 
 log = logging.getLogger("gekr")
 
@@ -187,29 +190,35 @@ def greedy_extend(
     """Grow an array row by row, keeping a candidate only if it creates
     no GEKR-deficient triple with any existing pair.  Stops after
     attempts_per_row consecutive rejections (or at max_rows).  The
-    result always passes is_gekr by construction.
+    result always passes is_gekr by construction.  The last tape of pairs
+    is filled with full lanes, which fail only a candidate failing all.
     """
     n = params.n
     lanes = Lanes(GEKR, n)
-    deficient = lanes.deficient
+    feet, k, h = lanes.carry(CHUNK)
     rows: list[int] = []
     pairs: list[int] = []  # lane value of every accepted pair
+    chunks: list[int] = []  # pairs[c * CHUNK:(c + 1) * CHUNK] as tape c
 
     while max_rows is None or len(rows) < max_rows:
         t = len(rows)
         accepted = None
         for attempt in range(attempts_per_row):
             cand = _sample_row(params, _row_rng(seed, t, attempt))
-            third = lanes.row(cand)
-            for pair in pairs:
-                if deficient(pair, third):
+            spread = lanes.row(cand) * feet
+            for chunk in chunks:
+                if (spread & chunk) + k & h != h:
                     break
             else:
                 accepted = cand
                 break
         if accepted is None:
             break
+        start = len(pairs) // CHUNK * CHUNK
         pairs.extend(lanes.pair(prev, accepted) for prev in rows)
+        chunks[start // CHUNK :] = [
+            lanes.tape(pairs[c : c + CHUNK], CHUNK) for c in range(start, len(pairs), CHUNK)
+        ]
         rows.append(accepted)
 
     return ArrayMatrix(

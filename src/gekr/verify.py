@@ -1,7 +1,6 @@
 """Deficiency scanning: which row triples miss a required pattern.
 
-Every triple test in the package is one predicate, Lanes.deficient.  For
-a triple (x, y, z) and pattern (a, b, c), the columns realizing the
+For a triple (x, y, z) and pattern (a, b, c), the columns realizing the
 pattern are the set bits of  sel(x,a) & sel(y,b) & sel(z,c),  where
 sel(row, 1) = row and sel(row, 0) = ~row masked to n columns.  The
 pattern is missing iff that AND is zero.
@@ -20,22 +19,17 @@ value of at most 2^n - 1.  Adding K = sum over t of (2^n - 1) << t*w
 therefore carries into a lane's guard bit exactly when the lane is
 non-zero, and never past the guard bit into the next lane.  With H the
 mask of all guard bits, the triple is deficient iff
+((pair & row) + K) & H != H, which is Lanes.deficient.
 
-    ((pair & row) + K) & H != H.
-
-Only for a deficient triple does Lanes.missing read back which guard
-bits stayed clear, that is, which lanes of pair & row are zero.
-
-A scan tests a row block per operation.  Slot s of a block is the lane
-value at bits s*S.. of S = P*w bits, for P patterns.  Block j holds
-seconds[j] & thirds[l] in slot l - j - 1 for each l > j, padded to a
-multiple of PAD slots with seconds[j] alone (a third of full lanes).
-firsts[i] copied into every slot, ANDed with block j, holds triple
-(i, j, j + 1 + s) in slot s, and with K and H repeated once per slot,
-((spread & block) + K) & H != H tests every l at once.  The clear guard
-bits decode to the deficient slots, lowest l first.  A padding slot
-fails only where every real slot does, so decoding stops at the first
-one.  The blocks take about comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
+With two rows fixed, many thirds are tested per operation.  Slot s of
+an integer holds a lane value at bits s*S.. of S = P*w bits, for P
+patterns; a tape (Lanes.tape) holds lane values in consecutive slots.
+With feet, K and H repeated per slot (Lanes.carry), a lane value spread
+over a tape tests every slot at once, ((value * feet & tape) + K) & H
+!= H, and Lanes.clear decodes the clear guard bits, lowest slot first.
+TripleScan keeps block j, seconds[j] & thirds[l] in slot l - j - 1 for
+each l > j, and a tape of seconds for the triples (i, j, r) of fixed i
+and r; the blocks take about comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -46,19 +40,36 @@ from typing import Iterator, Sequence
 
 from .core import GEKR, ArrayMatrix, DeficiencyReport, Pattern, PatternSet, pack_row
 
-#: Blocks are padded to a multiple of PAD slots, so K and H are kept for
+#: Slot counts are padded to a multiple of PAD, so K and H are kept for
 #: multiples of PAD slots only.
 PAD = 16
-#: Most bytes that the blocks and carry constants of a TripleScan may take.
+#: Most bytes that the blocks, tapes and carry constants of a TripleScan may take.
 MAX_BLOCK_BYTES = 1 << 30
 
 
+def _padded(c: int) -> int:
+    return -(-max(c, 0) // PAD) * PAD
+
+
+def _set_slots(bits: int, slot: int, base: int, stop: int) -> Iterator[int]:
+    """base plus the index of each slot holding a set bit, below stop."""
+    while bits:
+        skip = ((bits & -bits).bit_length() - 1) // slot
+        base += skip
+        if base >= stop:
+            return
+        yield base
+        bits >>= (skip + 1) * slot
+        base += 1
+
+
 class Lanes:
-    """Lane packing of one pattern set over n columns."""
+    """Lane packing of one pattern set over n columns, and its slots."""
 
     def __init__(self, patterns: PatternSet, n: int) -> None:
         self.patterns = tuple(patterns)
         self.width = n + 1
+        self.slot = len(self.patterns) * self.width
         self.full = (1 << n) - 1
         # _feet[place][bit]: bit 0 of every lane whose pattern reads `bit`
         # at position `place`; multiplying a row by it copies the row there.
@@ -70,13 +81,14 @@ class Lanes:
         k, h = self.full * feet, feet << n
 
         def deficient(pair: int, row: int) -> bool:
-            """True iff the triple misses a pattern of the set.  A closure,
-            so that hot loops pay for one plain call per triple."""
+            """True iff the triple misses a pattern of the set.  Only
+            exact.py's searches and the tests take one triple at a time."""
             return (pair & row) + k & h != h
 
         self.deficient = deficient
         self._k, self._h = k, h
         self._missing: dict[int, frozenset[Pattern]] = {}
+        self._carry: dict[int, tuple[int, int, int]] = {}
 
     def row(self, row: int, place: int = 2) -> int:
         """Lane value of a row standing at position place (0, 1 or 2) of
@@ -102,6 +114,27 @@ class Lanes:
                 if not guards >> (t * self.width + guard) & 1
             )
         return found
+
+    def carry(self, count: int) -> tuple[int, int, int]:
+        """(feet, K, H) for count slots, each built once: value * feet
+        holds value in every slot, and K and H repeat once per slot."""
+        found = self._carry.get(count)
+        if found is None:
+            feet = ((1 << count * self.slot) - 1) // ((1 << self.slot) - 1)
+            found = self._carry[count] = (feet, self._k * feet, self._h * feet)
+        return found
+
+    def tape(self, values: Sequence[int], count: int) -> int:
+        """values[s] in slot s, then up to count slots of full lanes, the AND identity."""
+        values = [*values, *[self._k] * (count - len(values))]
+        return sum(v << s * self.slot for s, v in enumerate(values))
+
+    def clear(self, value: int, tape: int, count: int, base: int = 0) -> Iterator[int]:
+        """base + s for each slot s < count of tape whose lane value,
+        ANDed with value, misses a pattern; slots past count are ignored."""
+        feet, k, h = self.carry(_padded(count))
+        guards = (value * feet & tape) + k & h
+        return _set_slots(h ^ guards, self.slot, base, base + count)
 
 
 def _as_packed(row: int | str | Sequence[int], n: int | None) -> tuple[int, int]:
@@ -141,72 +174,49 @@ def triples_through(m: int, triple: tuple[int, int, int] | None) -> int:
     return comb(m, 3) - comb(m - i, 3) + comb(m - i - 1, 2) - comb(m - j, 2) + (l - j)
 
 
-def _padded(c: int) -> int:
-    return -(-max(c, 0) // PAD) * PAD
-
-
-def _set_slots(bits: int, slot: int, base: int) -> Iterator[int]:
-    """base plus the index of each slot holding a set bit, lowest first."""
-    while bits:
-        skip = ((bits & -bits).bit_length() - 1) // slot
-        yield base + skip
-        bits >>= (skip + 1) * slot
-        base += skip + 1
-
-
 class TripleScan:
     """Deficient triples of m rows, some of which may be replaced between
-    searches.  The lane values of every row at each place of a triple,
-    and the blocks of the module docstring, are computed once and kept;
-    ValueError if the blocks would pass MAX_BLOCK_BYTES.
+    searches, with the blocks and tapes of the module docstring kept;
+    ValueError if they would pass MAX_BLOCK_BYTES.
 
     scan is the lexicographic forward loop.  first and replace make it
     incremental for a resampling loop such as Moser-Tardos.  They keep a
     cursor, the first triple not yet known to be clean, and found, the
     deficient triples before it; every other triple before the cursor is
     clean.  first returns min(found), or runs scan from the cursor until
-    it meets a deficient triple.  replace patches the blocks, drops the
-    found triples that hold a replaced row and tests again every triple
-    before the cursor that holds one, about 3 m^2 / 2 of them for three
-    rows.  Either way the answer is the lexicographically first deficient
-    triple of the current rows, as first_deficient_triple would give, and
-    only the first full pass costs comb(m, 3) tests.  checked counts the
-    tests made.
+    it meets a deficient triple.  replace patches the blocks and tapes,
+    drops the found triples that hold a replaced row and tests again
+    every triple before the cursor that holds one, about 3 m^2 / 2 of
+    them for three rows.  Either way the answer is the lexicographically
+    first deficient triple of the current rows, as first_deficient_triple
+    would give, and only the first full pass costs comb(m, 3) tests.
+    checked counts the tests made.
     """
 
     def __init__(self, rows: Sequence[int], n: int, patterns: PatternSet = GEKR) -> None:
         lanes = self.lanes = Lanes(patterns, n)
         m = self.m = len(rows)
-        slot = self.slot = len(lanes.patterns) * lanes.width
-        top = self._top = _padded(m - 2)  # slots of block 1, the longest scanned
-        # Blocks 1 to m - 2, then K and H for every padded length; CPython
-        # keeps 30 bits in 4 bytes.
-        slots = sum(map(_padded, range(1, m - 1))) + top * (top // PAD + 1)
-        if (need := slots * slot // 30 * 4) > MAX_BLOCK_BYTES:
+        top = _padded(m - 2)  # slots of block 1, the longest scanned
+        # Blocks 1 to m - 2, K and H for every padded length, and the two
+        # tapes; CPython keeps 30 bits in 4 bytes.
+        slots = sum(map(_padded, range(1, m - 1))) + top * (top // PAD + 1) + 2 * m
+        if (need := slots * lanes.slot // 30 * 4) > MAX_BLOCK_BYTES:
             raise ValueError(f"{m} rows need {need} bytes, past the limit of {MAX_BLOCK_BYTES}")
         self.firsts = [lanes.row(row, 0) for row in rows]
         self.seconds = [lanes.row(row, 1) for row in rows]
         self.thirds = [lanes.row(row) for row in rows]
-        self._feet = ((1 << top * slot) - 1) // ((1 << slot) - 1)  # x * feet: x in every slot
-        # Every third in its slot, then full lanes for the padding.
-        self._tape = sum(t << l * slot for l, t in enumerate(self.thirds + [lanes._k] * PAD))
-        feet = (self._feet >> (top - c) * slot for c in range(0, top + 1, PAD))
-        carry = [(lanes._k * f, lanes._h * f) for f in feet]
-        # _blocks[j]: block j with the K and H of its padded length; j = 0
-        # has no block, since a scanned triple has j > i >= 0.
-        self._blocks = [
-            (self._block(j), *carry[_padded(m - 1 - j) // PAD]) if j else (0, 0, 0)
-            for j in range(m - 1)
-        ]
+        self._second_tape = lanes.tape(self.seconds, m + PAD)
+        self._third_tape = lanes.tape(self.thirds, m + PAD)
+        # j = 0 has no block, since a scanned triple has j > i >= 0.
+        self._blocks = [self._block(j) if j else (0, 0, 0) for j in range(m - 1)]
         self.cursor = (0, 0, 0)  # scan reads this as the first triple, (0, 1, 2)
         self.found: set[tuple[int, int, int]] = set()
         self.checked = 0
         self._passed = 0  # triples before the cursor
 
-    def _block(self, j: int) -> int:
-        slots = _padded(self.m - 1 - j)
-        spread = self.seconds[j] * (self._feet >> (self._top - slots) * self.slot)
-        return spread & self._tape >> (j + 1) * self.slot
+    def _block(self, j: int) -> tuple[int, int, int]:  # with its K and H
+        feet, k, h = self.lanes.carry(_padded(self.m - 1 - j))
+        return self.seconds[j] * feet & self._third_tape >> (j + 1) * self.lanes.slot, k, h
 
     def scan(
         self, start: tuple[int, int, int], stop_early: bool
@@ -214,9 +224,9 @@ class TripleScan:
         """Deficient triples from start (inclusive) on, in lexicographic
         order.  start need not be an increasing triple: (i, 0, 0) begins
         at the first triple of row i."""
-        m, slot, lanes = self.m, self.slot, self.lanes
-        firsts, seconds, thirds = self.firsts, self.seconds, self.thirds
-        blocks, feet = self._blocks, self._feet
+        m, lanes = self.m, self.lanes
+        slot, feet = lanes.slot, lanes.carry(_padded(m - 2))[0]
+        firsts, seconds, thirds, blocks = self.firsts, self.seconds, self.thirds, self._blocks
         hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
         i_start, j_from, l_from = start
         for i in range(i_start, m - 2):
@@ -226,9 +236,7 @@ class TripleScan:
                 guards = (spread & block) + k & h
                 if guards != h:
                     pair = firsts[i] & seconds[j]
-                    for l in _set_slots(h ^ guards, slot, j + 1):
-                        if l >= m:
-                            break  # padding, see the module docstring
+                    for l in _set_slots(h ^ guards, slot, j + 1, m):
                         if l >= l_from:
                             hits.append((i, j, l, lanes.missing(pair, thirds[l])))
                             if stop_early:
@@ -253,22 +261,23 @@ class TripleScan:
         return min(self.found)
 
     def replace(self, rows: dict[int, int]) -> None:
-        """Put in new rows by index and bring the blocks (slot r - j - 1 of
-        each block j < r, and block r) and found up to date."""
-        lanes, slot, blocks = self.lanes, self.slot, self._blocks
+        """Put in new rows by index and bring the tapes, the blocks (slot
+        r - j - 1 of each block j < r, and block r) and found up to date."""
+        lanes, slot, blocks = self.lanes, self.lanes.slot, self._blocks
         for r, row in rows.items():
-            third = lanes.row(row)
+            second, third = lanes.row(row, 1), lanes.row(row)
             change = third ^ self.thirds[r]
+            self._second_tape ^= (second ^ self.seconds[r]) << r * slot
+            self._third_tape ^= change << r * slot
             self.firsts[r] = lanes.row(row, 0)
-            self.seconds[r] = lanes.row(row, 1)
+            self.seconds[r] = second
             self.thirds[r] = third
-            self._tape ^= change << r * slot
             for j in range(1, r):
                 block, k, h = blocks[j]
                 blocks[j] = (block ^ (self.seconds[j] & change) << (r - j - 1) * slot, k, h)
         for r in rows:
             if 0 < r < self.m - 1:
-                blocks[r] = (self._block(r), *blocks[r][1:])
+                blocks[r] = self._block(r)
         self.found = {t for t in self.found if rows.keys().isdisjoint(t)}
         for r in rows:
             self._rescan(r)
@@ -276,35 +285,28 @@ class TripleScan:
     def _rescan(self, r: int) -> None:
         """Test every triple before the cursor that holds row r, at each
         of its three places, adding the deficient ones to found.  A triple
-        holding two replaced rows is tested once for each.  Two of the
-        three lane values are ANDed outside the inner loop; the AND is
-        commutative, so which two does not matter."""
-        m, deficient, found = self.m, self.lanes.deficient, self.found
-        firsts, seconds, thirds = self.firsts, self.seconds, self.thirds
+        holding two replaced rows is tested once for each."""
+        m, lanes, found = self.m, self.lanes, self.found
+        firsts, blocks = self.firsts, self._blocks
         ci, cj, cl = self.cursor
-        tested = 0
-        # (r, j, l) and (i, r, l): l runs up to the cursor's bound for (i, j).
+        # (r, j, l), (i, r, l): l runs to the cursor's bound; row m - 1 heads no block.
         heads = itertools.chain(
             ((r, j) for j in range(r + 1, m - 1 if r <= ci else 0)),
-            ((i, r) for i in range(min(r, ci + 1))),
+            ((i, r) for i in range(min(r, ci + 1) if r < m - 1 else 0)),
         )
         for i, j in heads:
-            pair = firsts[i] & seconds[j]
             stop = m if (i, j) < (ci, cj) else cl if (i, j) == (ci, cj) else 0
-            for l in range(j + 1, stop):
-                if deficient(pair, thirds[l]):
-                    found.add((i, j, l))
-            tested += max(stop - j - 1, 0)
+            count = stop - j - 1
+            found.update((i, j, l) for l in lanes.clear(firsts[i], blocks[j][0], count, j + 1))
+            self.checked += max(count, 0)
         # (i, j, r): j runs up to r, or to the cursor's bound when i == ci.
-        third = thirds[r]
+        third, slot = self.thirds[r], lanes.slot
         for i in range(min(r - 1, ci + 1)):
-            pair = firsts[i] & third
             stop = r if i < ci else min(r, cj + (r < cl))
-            for j in range(i + 1, stop):
-                if deficient(pair, seconds[j]):
-                    found.add((i, j, r))
-            tested += max(stop - i - 1, 0)
-        self.checked += tested
+            count = stop - i - 1
+            seconds = self._second_tape >> (i + 1) * slot
+            found.update((i, j, r) for j in lanes.clear(firsts[i] & third, seconds, count, i + 1))
+            self.checked += max(count, 0)
 
 
 def find_deficient(

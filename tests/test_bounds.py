@@ -258,6 +258,12 @@ class TestFixedWeightLog:
         assert main(["bound", "--model", "fixed-exact", "--k", str(k), "--n", "10000"]) == 0
         assert capsys.readouterr().out == stdout
 
+    def test_column_limit(self):
+        # Rejected before the table of n + 1 log-factorials is built.
+        for n in (bounds.FIXED_LOG_N_LIMIT + 1, 10**300):
+            with pytest.raises(ValueError, match=f"n={n} is past the limit of 10000000"):
+                bounds.p_fixed_log10(n, 3)
+
     def test_mpmath_digit(self):
         # mpmath at 40 digits puts this bound at 341.5443645504862; the
         # scipy path printed ...551.
@@ -271,6 +277,8 @@ class TestFixedWeightLog:
         assert bounds._log10_sum(np.array([1.0, 1.0])) == pytest.approx(1.0 + math.log10(2.0))
         # A term 40 decades down is below any float's rounding of the sum.
         assert bounds._log10_sum([0.0, -41.0]) == 0.0
+        # Past about 3e17, top - 40 rounds to top; the largest term stays.
+        assert bounds._log10_sum([-5.8e17, -5.8e17]) == -5.8e17 + math.log10(2.0)
 
 
 class TestRowBound:

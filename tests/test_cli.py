@@ -85,6 +85,15 @@ class TestBound:
             assert (code, out) == (2, "")
             assert "column count" in err and "Traceback" not in err
 
+    def test_huge_n(self, cli):
+        # Every term of the independent sum rounds to the largest here.
+        code, out, _ = cli(["bound", "--model", "independent", "--alpha", "0.5", "--n", "1e300"])
+        assert code == 0 and out
+        for n in ("10000001", "1e300"):
+            code, out, err = cli(["bound", "--model", "fixed-exact", "--k", "3", "--n", n])
+            assert (code, out) == (2, "")
+            assert "past the limit of 10000000" in err and "Traceback" not in err
+
 
 class TestTable:
     def test_default_independent_shape(self, cli):
@@ -255,6 +264,7 @@ class TestOptimize:
         assert code == 0
         alpha_star = float(out.splitlines()[0].split("=")[1])
         assert abs(alpha_star - 2 / 3) <= 1e-3
+        assert cli(["optimize", "--model", "independent", "--n", "1e300"])[0] == 0
 
     def test_fixed(self, cli):
         code, out, _ = cli(["optimize", "--model", "fixed"])

@@ -177,6 +177,14 @@ def test_moser_tardos_floor_golden():
     assert result.resamples_used == 3
     digest = hashlib.sha256(result.array.to_text().encode()).hexdigest()
     assert digest == "461e8fb56588322ab53ea96e0b3dbcea121d86dc6e4abaece271064c61976b18"
+    # The triple tests, as the per-triple rescan counted them; (54, 38)
+    # at its floor m = 227 takes 11 steps.
+    assert result.triples_checked == 473_180
+    params = ModelParams.fixed_weight(54, 38)
+    result = moser_tardos(ConstructionConfig(params=params, m=227, seed=18))
+    assert (result.resamples_used, result.triples_checked) == (11, 2_329_279)
+    digest = hashlib.sha256(result.array.to_text().encode()).hexdigest()
+    assert digest == "6be5a5e82aa2f82f4151bc59ee7f1a0849f131db9a7e7cbd2a5552b4fa35f3b4"
 
 
 class TestTriplesChecked:

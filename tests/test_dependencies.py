@@ -55,3 +55,43 @@ def test_every_test_extra_is_imported():
     assert wanted, "empty test extra"
     used = {name for _, name in imported_modules(sorted((ROOT / "tests").glob("*.py")))}
     assert sorted(wanted - used) == []
+
+
+def lanes_reads(source: str, attr: str) -> list[int]:
+    """Lines that read attribute attr of a Lanes: of a Lanes(...) call, of
+    a name or attribute assigned one, or of any attribute named lanes."""
+    tree = ast.parse(source)
+
+    def is_lanes(node) -> bool:
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Lanes"
+
+    bound = {
+        ast.unparse(target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_lanes(node.value)
+        for target in node.targets
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.ctx, ast.Load)
+        and (
+            is_lanes(node.value)
+            or ast.unparse(node.value) in bound
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "lanes"
+        )
+    ]
+
+
+def test_one_triple_at_a_time_only_in_exact():
+    # Scans and greedy extension test many thirds per operation through
+    # Lanes.clear and Lanes.carry; the one-triple predicate is left to
+    # exact.py's small searches, so a per-triple loop cannot come back.
+    probe = "a = b.lanes = Lanes(P, 3)\na.deficient\nb.lanes.deficient\nLanes(P, 3).deficient\nr.deficient\n"
+    assert lanes_reads(probe, "deficient") == [2, 3, 4]
+    readers = {
+        path.name for path in SRC.glob("*.py") if lanes_reads(path.read_text(), "deficient")
+    }
+    assert readers <= {"exact.py"}

@@ -17,7 +17,7 @@ class TestGoldenSection:
 
 
 class TestArgminIndependent:
-    @pytest.mark.parametrize("n", [100, 10_000])
+    @pytest.mark.parametrize("n", [100, 10_000, pytest.param(10**300, id="1e300")])
     def test_near_two_thirds(self, n):
         alpha_star, p_star = argmin_independent(n)
         assert abs(alpha_star - 2 / 3) <= 1e-3

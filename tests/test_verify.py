@@ -359,6 +359,34 @@ class TestLanes:
             assert lanes.missing(pair, lanes.row(0)) == {(1, 1, 1)}
 
     @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_clear_matches_deficient(self, data):
+        # Slot by slot against the one-triple predicate, with counts on
+        # both sides of PAD multiples, a non-zero base, and tape slots
+        # past count (real lanes, then zeros) that must not be reported.
+        patterns = PatternSet(
+            frozenset(
+                data.draw(
+                    st.lists(
+                        st.sampled_from(ALL_PATTERNS), min_size=1, max_size=8, unique=True
+                    )
+                )
+            )
+        )
+        n = data.draw(st.integers(min_value=1, max_value=70))
+        near_pad = st.builds(lambda k, d: k * verify.PAD + d, st.integers(1, 3), st.integers(-1, 1))
+        count = data.draw(near_pad | st.integers(min_value=-2, max_value=50))
+        extra = data.draw(st.integers(min_value=0, max_value=20))
+        x, y, *rows = biased_rows(data, 2 + max(count, 0) + extra, n)
+        lanes = Lanes(patterns, n)
+        pair = lanes.pair(x, y)
+        thirds = [lanes.row(row) for row in rows]
+        base = data.draw(st.integers(min_value=0, max_value=1000))
+        tape = lanes.tape(thirds, len(thirds))
+        want = [base + s for s in range(count) if lanes.deficient(pair, thirds[s])]
+        assert list(lanes.clear(pair, tape, count, base)) == want
+
+    @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_random_pattern_sets_match_naive(self, data):
         patterns = PatternSet(
