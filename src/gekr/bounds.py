@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-import numpy as np
-
 from .core import LogMagnitude
 
 #: Euler's number in the local-lemma condition e * p * (d + 1) <= 1.
@@ -38,22 +36,21 @@ _LN10 = math.log(10.0)
 
 #: Column count up to which the fixed-weight probability is summed in
 #: exact rational arithmetic; beyond it we switch to log-space floats,
-#: up to FIXED_LOG_N_LIMIT columns (a table of n + 1 floats).
+#: up to FIXED_LOG_N_LIMIT columns, which bounds the run time and
+#: lgamma's absolute error (it grows like n ln n ulps).
 EXACT_N_LIMIT = 500
 FIXED_LOG_N_LIMIT = 10**7
 
 
-def _log10_sum(terms: list[float] | np.ndarray) -> float:
+def _log10_sum(terms: list[float]) -> float:
     """log10 of a sum of magnitudes given by their log10s; -inf terms
     are zeros.  The largest term is kept, with every term within 40
     decades of it (a million more move the sum by under 1e-34 of it);
     the kept terms are added exactly rounded by math.fsum."""
-    terms = np.asarray(terms, dtype=float)
-    top = terms.max(initial=-math.inf)
+    top = max(terms, default=-math.inf)
     if top == -math.inf:
         return -math.inf
-    near = (terms[terms >= top - 40.0] - top).tolist()
-    return float(top) + math.log10(math.fsum(10.0**t for t in near))
+    return top + math.log10(math.fsum(10.0 ** (t - top) for t in terms if t >= top - 40.0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +177,56 @@ def p_fixed_exact(n: int, r: int) -> Fraction:
 def p_fixed_log10(n: int, r: int) -> LogMagnitude:
     """Same union bound as p_fixed_exact but summed in log space, for
     column counts where exact rationals are impractically slow.  Every
-    binomial is three lookups in one table of ln x! (math.lgamma), and
-    both sums go through a single _log10_sum."""
+    binomial is three math.lgamma calls, and only the O(sqrt n) terms
+    near the peak of each sum are evaluated (_near_peak): the float is
+    that of a sum over every term."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if n > FIXED_LOG_N_LIMIT:
         raise ValueError(f"n={n} is past the limit of {FIXED_LOG_N_LIMIT} columns")
-    ln_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
     def ln_comb(a, b):
-        return ln_fact[a] - ln_fact[b] - ln_fact[a - b]
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
     # psi runs over u in [lo, r], phi over its prefix u <= min(r, n - r);
     # both share the factor C(r,u) C(n-r,r-u) / C(n,r)^2.
+    ln_norm = 2.0 * ln_comb(n, r)
+
+    def shared(u):
+        return ln_comb(r, u) + ln_comb(n - r, r - u) - ln_norm
+
+    def phi(u):
+        return (shared(u) + ln_comb(n - u, r)) / _LN10
+
+    def psi(u):
+        return (shared(u) + ln_comb(n - u, n - r) + math.log(3.0)) / _LN10
+
     lo = max(0, 2 * r - n)
-    u = np.arange(lo, r + 1)
-    shared = ln_comb(r, u) + ln_comb(n - r, r - u) - 2.0 * ln_comb(n, r)
-    phi_u = u[: max(0, min(r, n - r) - lo + 1)]
-    ln_phi = shared[: len(phi_u)] + ln_comb(n - phi_u, r)
-    ln_psi = shared + ln_comb(n - u, n - r) + math.log(3.0)
-    return LogMagnitude.from_log10(
-        _log10_sum(np.concatenate([ln_phi, ln_psi]) / _LN10)
-    )
+    terms = _near_peak(phi, lo, min(r, n - r)) + _near_peak(psi, lo, r)
+    return LogMagnitude.from_log10(_log10_sum(terms))
+
+
+def _near_peak(f, lo: int, hi: int) -> list[float]:
+    """f(u) for a log-concave f on [lo, hi], outward from its peak (found
+    by bisection) up to the first value 41 decades below the peak on each
+    side.  That is one decade more than _log10_sum keeps, a margin far
+    wider than lgamma's error, so every term it would keep is here."""
+    if lo > hi:
+        return []
+    a, b = lo, hi
+    while a < b:
+        mid = (a + b) // 2
+        if f(mid) < f(mid + 1):
+            a = mid + 1
+        else:
+            b = mid
+    floor, values = f(a) - 41.0, []
+    for side in (range(a, lo - 1, -1), range(a + 1, hi + 1)):
+        for u in side:
+            if (value := f(u)) < floor:
+                break
+            values.append(value)
+    return values
 
 
 def fixed_deficiency_prob(n: int, r: int) -> LogMagnitude:

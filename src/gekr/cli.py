@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,16 +34,14 @@ def _split_tokens(text: str) -> list[str]:
 
 def _parse_n(token: str) -> int:
     """Column count (the type of every --n): a whole number from 1 up to
-    the largest float, so that every bound formula can take it."""
+    the largest float, so that every bound formula can take it.  Decimal
+    reads "1e23" as exactly 10^23 and checks the range before int()
+    expands the digits."""
     try:
-        value = int(token)
-    except ValueError:
-        try:
-            value = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad column count {token!r}") from None
-    # A float must be whole; inf and nan are not.
-    if isinstance(value, float) and not value.is_integer() or not 1 <= value <= sys.float_info.max:
+        value = Decimal(token)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"bad column count {token!r}") from None
+    if not (value.is_finite() and 1 <= value <= sys.float_info.max and value == value.to_integral_value()):
         raise argparse.ArgumentTypeError(f"column count {token!r}: need n >= 1, whole, <= 1.8e308")
     return int(value)
 
@@ -58,10 +57,7 @@ def _resolve_alpha(
     if args.alpha is not None and getattr(args, "k", None) is not None:
         parser.error("give either --alpha or --k, not both")
     if args.alpha is not None:
-        try:
-            alpha = parse_alpha(args.alpha)
-        except ValueError as exc:
-            parser.error(str(exc))
+        alpha = parse_alpha(args.alpha)
     elif getattr(args, "k", None) is not None:
         alpha = Fraction(args.k, args.n)
     else:
@@ -73,10 +69,7 @@ def _resolve_alpha(
 
 def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     alpha = _resolve_alpha(parser, args)
-    try:
-        value = bounds.row_bound(args.model, alpha, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
+    value = bounds.row_bound(args.model, alpha, args.n)
     mantissa, exponent = value.scientific()
     if args.json:
         print(
@@ -109,10 +102,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("n grid is empty")
     grid = []
     for tok in alpha_tokens:
-        try:
-            alpha = parse_alpha(tok)
-        except ValueError as exc:
-            parser.error(str(exc))
+        alpha = parse_alpha(tok)
         if not 0 < alpha <= 1:
             parser.error(f"density must be in (0, 1], got {tok!r}")
         grid.append((tok, alpha))
@@ -144,10 +134,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = verify.find_deficient(array, patterns)
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = verify.find_deficient(array, patterns)
     if report.ok:
         print(f"ok: all {report.total_checked} triples covered")
         return 0
@@ -166,26 +153,23 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     alpha = _resolve_alpha(parser, args)
-    try:
-        if args.model == "independent":
-            params = ModelParams.independent(alpha, args.n)
-        elif (alpha * args.n).denominator == 1:
-            params = ModelParams.fixed_weight(args.n, int(alpha * args.n))
-        else:
-            parser.error(f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{args.n}")
-        strategy = construct.Strategy(args.strategy)
-        if args.m is None and strategy is not construct.Strategy.GREEDY:
-            parser.error("--m is required for this strategy")
-        config = construct.ConstructionConfig(
-            params=params,
-            m=args.m if args.m is not None else 0,
-            seed=args.seed,
-            strategy=strategy,
-            max_resamples=args.max_resamples,
-            attempts_per_row=args.attempts_per_row,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.model == "independent":
+        params = ModelParams.independent(alpha, args.n)
+    elif (alpha * args.n).denominator == 1:
+        params = ModelParams.fixed_weight(args.n, int(alpha * args.n))
+    else:
+        parser.error(f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{args.n}")
+    strategy = construct.Strategy(args.strategy)
+    if args.m is None and strategy is not construct.Strategy.GREEDY:
+        parser.error("--m is required for this strategy")
+    config = construct.ConstructionConfig(
+        params=params,
+        m=args.m if args.m is not None else 0,
+        seed=args.seed,
+        strategy=strategy,
+        max_resamples=args.max_resamples,
+        attempts_per_row=args.attempts_per_row,
+    )
     # Progress records go to the "gekr" logger at INFO; show them here.
     log = logging.getLogger("gekr")
     handler, level = logging.StreamHandler(sys.stderr), log.level
@@ -193,8 +177,6 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     log.setLevel(logging.INFO)
     try:
         result = construct.run(config)
-    except ValueError as exc:
-        parser.error(str(exc))
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -215,10 +197,7 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.model == "independent":
-        try:
-            alpha_star, p_star = optimize.argmin_independent(args.n)
-        except ValueError as exc:
-            parser.error(str(exc))
+        alpha_star, p_star = optimize.argmin_independent(args.n)
         print(f"alpha_star = {alpha_star:.6f}")
         print(f"p = {render_magnitude(p_star)}")
         print(f"log10 p = {p_star.log10:.9f}")
@@ -233,10 +212,7 @@ def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_figure(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        table = optimize.figure_data(args.figure, grid_step=args.grid_step)
-    except ValueError as exc:
-        parser.error(str(exc))
+    table = optimize.figure_data(args.figure, grid_step=args.grid_step)
     print(",".join(table.columns))
     for row in table.rows:
         print(",".join("" if cell is None else repr(cell) for cell in row))
@@ -244,10 +220,7 @@ def cmd_figure(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_maxfamily(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        result = exact.max_family(args.n, args.k, node_limit=args.node_limit)
-    except ValueError as exc:
-        parser.error(str(exc))
+    result = exact.max_family(args.n, args.k, node_limit=args.node_limit)
     print(f"size: {result.size}")
     print(f"optimal: {'true' if result.optimal else 'false'}")
     matrix = exact.witness_matrix(args.n, result.witness)
@@ -340,7 +313,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    try:
+        return _COMMANDS[args.command](parser, args)
+    except ValueError as exc:  # a domain error: exit 2 with its message
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

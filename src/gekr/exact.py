@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 
 from .core import GEKR, ArrayMatrix, Pattern, PatternSet
@@ -49,11 +49,11 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
         )
     lanes = Lanes(PatternSet(frozenset({tuple(pattern)})), n)
     masks = _subset_masks(n, r)
-    thirds = [lanes.row(c) for c in masks]
+    thirds = lanes.tape([lanes.row(c) for c in masks], len(masks))
     count = 0
     for b in masks:
         pair = lanes.pair(masks[0], b)
-        count += sum(map(lanes.deficient, repeat(pair), thirds))
+        count += len(list(lanes.clear(pair, thirds, len(masks))))
     return Fraction(count, len(masks) ** 2)
 
 
@@ -104,7 +104,6 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
     lanes = Lanes(GEKR, n)
-    deficient = lanes.deficient
     masks = _subset_masks(n, k)
     third = {mask: lanes.row(mask) for mask in masks}
 
@@ -125,10 +124,11 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
             if nodes > node_limit:
                 budget_hit = True
                 return
-            narrowed = candidates[pos + 1 :]
-            for prev in chosen:
-                pair = lanes.pair(prev, cand)
-                narrowed = [c for c in narrowed if not deficient(pair, third[c])]
+            # One tape of the new pairs (prev, cand): a candidate stays
+            # if no pair leaves it a pattern short.
+            feet, k, h = lanes.carry(len(chosen))
+            pairs = lanes.tape([lanes.pair(prev, cand) for prev in chosen], len(chosen))
+            narrowed = [c for c in candidates[pos + 1 :] if (third[c] * feet & pairs) + k & h == h]
             chosen.append(cand)
             dfs(chosen, narrowed)
             chosen.pop()

@@ -78,15 +78,7 @@ class Lanes:
             for place, bit in enumerate(pattern):
                 self._feet[place][bit] |= 1 << (t * self.width)
         feet = self._feet[0][0] | self._feet[0][1]
-        k, h = self.full * feet, feet << n
-
-        def deficient(pair: int, row: int) -> bool:
-            """True iff the triple misses a pattern of the set.  Only
-            exact.py's searches and the tests take one triple at a time."""
-            return (pair & row) + k & h != h
-
-        self.deficient = deficient
-        self._k, self._h = k, h
+        self._k, self._h = self.full * feet, feet << n
         self._missing: dict[int, frozenset[Pattern]] = {}
         self._carry: dict[int, tuple[int, int, int]] = {}
 
@@ -99,6 +91,11 @@ class Lanes:
     def pair(self, a: int, b: int) -> int:
         """Lane value of the first two rows of a triple."""
         return self.row(a, 0) & self.row(b, 1)
+
+    def deficient(self, pair: int, row: int) -> bool:
+        """True iff the triple misses a pattern of the set: the one-triple
+        definition that the slot tests are checked against."""
+        return (pair & row) + self._k & self._h != self._h
 
     def missing(self, pair: int, row: int) -> frozenset[Pattern]:
         """The patterns the triple misses: those whose lanes carry nothing

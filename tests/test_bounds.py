@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +280,59 @@ class TestFixedWeightLog:
         assert bounds._log10_sum([0.0, -41.0]) == 0.0
         # Past about 3e17, top - 40 rounds to top; the largest term stays.
         assert bounds._log10_sum([-5.8e17, -5.8e17]) == -5.8e17 + math.log10(2.0)
+
+
+def table_p_fixed_log10(n: int, r: int) -> float:
+    """log10 of the fixed-weight union bound summed over every term, each
+    from one numpy table of ln x! (math.lgamma), as p_fixed_log10 summed
+    it before it took only the terms near each peak: the oracle of float
+    equality.  The table holds n + 1 floats, so keep n small."""
+    ln_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+
+    def ln_comb(a, b):
+        return ln_fact[a] - ln_fact[b] - ln_fact[a - b]
+
+    lo = max(0, 2 * r - n)
+    u = np.arange(lo, r + 1)
+    shared = ln_comb(r, u) + ln_comb(n - r, r - u) - 2.0 * ln_comb(n, r)
+    phi_u = u[: max(0, min(r, n - r) - lo + 1)]
+    ln_phi = shared[: len(phi_u)] + ln_comb(n - phi_u, r)
+    ln_psi = shared + ln_comb(n - u, n - r) + math.log(3.0)
+    terms = np.concatenate([ln_phi, ln_psi]) / LN10
+    top = terms.max()
+    near = (terms[terms >= top - 40.0] - top).tolist()
+    return float(top) + math.log10(math.fsum(10.0**t for t in near))
+
+
+class TestFixedWeightWindow:
+    """p_fixed_log10 evaluates only the terms near each peak, and gives
+    the float of the sum over every term."""
+
+    @given(st.integers(501, 20_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_full_table(self, nr):
+        n, r = nr
+        assert bounds.p_fixed_log10(n, r).log10 == table_p_fixed_log10(n, r)
+
+    @pytest.mark.parametrize("n", [501, 502, 1000, 7777, 20_000])
+    def test_equals_full_table_at_edges(self, n):
+        # r = n - 1 and n leave one phi term or none; 2n/3 is where
+        # sigma1 ends.
+        for r in (1, 2, 2 * n // 3, 2 * n // 3 + 1, n - 1, n):
+            assert bounds.p_fixed_log10(n, r).log10 == table_p_fixed_log10(n, r), (n, r)
+
+    def test_equals_full_table_at_a_million(self):
+        assert bounds.p_fixed_log10(10**6, 758_238).log10 == table_p_fixed_log10(10**6, 758_238)
+
+    def test_memory_at_the_column_limit(self):
+        # A table of n + 1 log-factorials would take 80 MB here.
+        tracemalloc.start()
+        try:
+            bounds.p_fixed_log10(10**7, 7_395_350)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestRowBound:

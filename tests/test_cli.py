@@ -132,6 +132,18 @@ class TestTable:
             assert code == 2, bad
             assert "column count" in err
 
+    def test_float_notation_is_exact(self, cli):
+        # Read as a decimal, not through a float (99999999999999991611392).
+        code, out, _ = cli(["table", "--model", "independent", "--alphas", "0.5", "--ns", "1e23"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "1" + "0" * 23
+
+    def test_huge_exponent_rejected_unexpanded(self, cli):
+        # A billion-digit integer is never built: the range check comes first.
+        code, out, err = cli(["table", "--model", "independent", "--ns", "1e999999999"])
+        assert (code, out) == (2, "")
+        assert "column count '1e999999999'" in err
+
 
 class TestVerify:
     def test_covered_file(self, cli, tmp_path):

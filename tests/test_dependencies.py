@@ -85,13 +85,20 @@ def lanes_reads(source: str, attr: str) -> list[int]:
     ]
 
 
-def test_one_triple_at_a_time_only_in_exact():
-    # Scans and greedy extension test many thirds per operation through
-    # Lanes.clear and Lanes.carry; the one-triple predicate is left to
-    # exact.py's small searches, so a per-triple loop cannot come back.
+def test_no_module_tests_one_triple_at_a_time():
+    # Scans, greedy extension and the exact searches test many thirds per
+    # operation through the slot tape; Lanes.deficient is left as the
+    # definition the tests compare against, so a per-triple loop cannot
+    # come back.
     probe = "a = b.lanes = Lanes(P, 3)\na.deficient\nb.lanes.deficient\nLanes(P, 3).deficient\nr.deficient\n"
     assert lanes_reads(probe, "deficient") == [2, 3, 4]
     readers = {
         path.name for path in SRC.glob("*.py") if lanes_reads(path.read_text(), "deficient")
     }
-    assert readers <= {"exact.py"}
+    assert readers == set()
+
+
+def test_only_construct_imports_numpy():
+    # numpy samples rows; the bounds, the scans and the searches are stdlib only.
+    importers = {f for f, name in imported_modules(sorted(SRC.glob("*.py"))) if name == "numpy"}
+    assert importers == {"construct.py"}
