@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from .core import LogMagnitude
 
@@ -235,73 +235,6 @@ def fixed_deficiency_prob(n: int, r: int) -> LogMagnitude:
     if n <= EXACT_N_LIMIT:
         return LogMagnitude.from_fraction(p_fixed_exact(n, r))
     return p_fixed_log10(n, r)
-
-
-# ---------------------------------------------------------------------------
-# Ratio-test quadratics locating the dominant terms of the two sums
-
-
-@dataclass(frozen=True)
-class QuadraticRoots:
-    """Real roots of an integer-coefficient quadratic a u^2 + b u + c,
-    computed from the exact discriminant so that huge coefficients do
-    not lose the leading digits.  lower <= upper.
-    """
-
-    lower: float
-    upper: float
-    coefficients: tuple[int, int, int]
-
-    @classmethod
-    def solve(cls, a: int, b: int, c: int) -> "QuadraticRoots":
-        if a == 0:
-            raise ValueError("leading coefficient must be non-zero")
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            raise ValueError(
-                f"negative discriminant {disc}: no real extremum crossing"
-            )
-        # Integer square root of the discriminant scaled by 10^40 gives
-        # sqrt(disc) with 20 guaranteed decimals at any coefficient size.
-        sqrt_disc = Fraction(isqrt(disc * 10**40), 10**20)
-        r1 = (-b - sqrt_disc) / (2 * a)
-        r2 = (-b + sqrt_disc) / (2 * a)
-        return cls(lower=float(r1), upper=float(r2), coefficients=(a, b, c))
-
-
-def phi_ratio_roots(n: int, r: int) -> QuadraticRoots:
-    """Roots of the quadratic governing phi_term(u+1)/phi_term(u) = 1.
-
-    Between the roots consecutive terms grow, so the largest phi term
-    sits near the upper root; the discriminant is the quartic
-    gamma(n, r) = b^2 - 4 a c with
-
-        a = n - r + 2
-        b = r^2 - 2r - n^2 - n + 1
-        c = n r^2 - r^3 - n^2 + 2 n r - n
-    """
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    a = n - r + 2
-    b = r * r - 2 * r - n * n - n + 1
-    c = n * r * r - r**3 - n * n + 2 * n * r - n
-    return QuadraticRoots.solve(a, b, c)
-
-
-def psi_ratio_roots(n: int, r: int) -> QuadraticRoots:
-    """Roots of the quadratic governing psi_term(u+1)/psi_term(u) = 1,
-    with coefficients
-
-        a = r + 2
-        b = -3 r^2 - n^2 + 2 r n - n - 2 r + 1
-        c = r^3 - n^2 + 2 r n - n
-    """
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    a = r + 2
-    b = -3 * r * r - n * n + 2 * r * n - n - 2 * r + 1
-    c = r**3 - n * n + 2 * r * n - n
-    return QuadraticRoots.solve(a, b, c)
 
 
 # ---------------------------------------------------------------------------

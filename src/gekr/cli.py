@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_figure = sub.add_parser("figure", help="CSV data behind a reference figure")
     p_figure.add_argument("figure", type=int, choices=[1, 2, 3, 4])
-    p_figure.add_argument("--grid-step", type=float, default=0.005)
+    p_figure.add_argument("--grid-step", type=float, default=0.005, help="from 1e-4 to 0.1")
 
     p_max = sub.add_parser("maxfamily", help="exact largest GEKR family")
     p_max.add_argument("--n", type=_parse_n, required=True)

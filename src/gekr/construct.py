@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .core import GEKR, ArrayMatrix, Model, ModelParams
-from .verify import Lanes, TripleScan, first_deficient_triple, triples_through
+from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
 
 #: A progress record goes to the "gekr" logger, at INFO, every this many
 #: resampling steps.
@@ -62,6 +62,9 @@ class ConstructionConfig:
             raise ValueError("max_resamples must be positive")
         if self.attempts_per_row < 1:
             raise ValueError("attempts_per_row must be positive")
+        # The scan's size limit, before any row is drawn; at least 3 rows,
+        # so that n is bounded for greedy's m = 0 too.
+        scan_bytes(max(self.m, 3), self.params.n)
 
 
 @dataclass(frozen=True)
@@ -90,24 +93,21 @@ def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
     """One packed row from the model distribution."""
     n = params.n
     if params.model is Model.FIXED_WEIGHT:
-        # Partial Fisher-Yates: after r swaps the prefix idx[:r] is a
-        # uniform r-subset, using exactly r bounded integer draws.
+        # Partial Fisher-Yates on idx = range(n): after r swaps the prefix
+        # idx[:r] is a uniform r-subset, using exactly r bounded integer
+        # draws.  moved keeps only the entries of idx that swaps changed.
         r = params.r
         assert r is not None
-        idx = list(range(n))
-        row = 0
-        for j in range(r):
-            t = int(rng.integers(j, n))
-            idx[j], idx[t] = idx[t], idx[j]
-            row |= 1 << idx[j]
-        return row
-    u = rng.random(n)
-    row = 0
-    threshold = float(params.alpha)
-    for j in range(n):
-        if u[j] < threshold:
-            row |= 1 << j
-    return row
+        moved: dict[int, int] = {}
+        picked = []
+        for j, t in enumerate(rng.integers(np.arange(r), n).tolist()):
+            picked.append(moved.get(t, t))
+            moved[t] = moved.get(j, j)
+        bits = np.zeros(n, dtype=bool)
+        bits[picked] = True
+    else:
+        bits = rng.random(n) < float(params.alpha)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _declared_weight(params: ModelParams) -> int | None:

@@ -10,7 +10,7 @@ the number of columns, and bitwise AND/OR/XOR act on all columns at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -72,26 +72,25 @@ class LogMagnitude:
     """A non-negative real carried as its base-10 logarithm.
 
     Row-count bounds routinely exceed 10^30000, far beyond float range,
-    so we never materialize the value itself.  Ordering compares
-    (is_zero, log10) with zero sorting below every positive value; the
-    sort_key field makes the derived comparisons do exactly that.
+    so we never materialize the value itself.  Zero is log10 = -inf,
+    which orders below every positive value.
     """
 
-    sort_key: tuple[int, float] = field(repr=False)
-    is_zero: bool = field(compare=False)
-    log10: float = field(compare=False)
+    log10: float
+
+    @property
+    def is_zero(self) -> bool:
+        return self.log10 == -math.inf
 
     @classmethod
     def zero(cls) -> "LogMagnitude":
-        return cls(sort_key=(0, 0.0), is_zero=True, log10=-math.inf)
+        return cls(-math.inf)
 
     @classmethod
     def from_log10(cls, log10: float) -> "LogMagnitude":
         if math.isnan(log10):
             raise ValueError("log10 must not be NaN")
-        if log10 == -math.inf:
-            return cls.zero()
-        return cls(sort_key=(1, log10), is_zero=False, log10=log10)
+        return cls(log10)
 
     @classmethod
     def from_float(cls, value: float) -> "LogMagnitude":
@@ -145,24 +144,6 @@ def render_magnitude(value: LogMagnitude, digits: int = 3) -> str:
         return "0"
     mantissa, exponent = value.scientific(digits)
     return f"{mantissa:.{digits - 1}f}e{exponent}"
-
-
-def parse_magnitude(text: str) -> LogMagnitude:
-    """Inverse of render_magnitude, also accepting plain decimals."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty magnitude")
-    if text == "0":
-        return LogMagnitude.zero()
-    lowered = text.lower()
-    if "e" in lowered:
-        mant_text, _, exp_text = lowered.partition("e")
-        mantissa = float(mant_text)
-        exponent = int(exp_text)
-        if mantissa <= 0:
-            raise ValueError(f"mantissa must be positive in {text!r}")
-        return LogMagnitude.from_log10(math.log10(mantissa) + exponent)
-    return LogMagnitude.from_float(float(text))
 
 
 class Model(Enum):
@@ -308,8 +289,8 @@ class DeficiencyReport:
 
     deficient lists the offending (i, j, l) index triples, i < j < l in
     lexicographic order, and missing[t] holds the patterns triple t
-    fails to cover.  total_checked counts triples actually examined,
-    which is less than comb(m, 3) when the scan stopped early.
+    fails to cover.  total_checked counts the triples examined, all
+    comb(m, 3) of them.
     """
 
     deficient: tuple[tuple[int, int, int], ...]

@@ -136,8 +136,8 @@ def figure_data(figure: int, grid_step: float = 0.005) -> FigureTable:
     3: both decay bases xi and theta on [0, 1].
     4: theta near its minimum, on [0.70, 0.78].
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError(f"grid_step must be in (0, 0.1], got {grid_step}")
+    if not 1e-4 <= grid_step <= 0.1:  # at most 10,001 rows
+        raise ValueError(f"grid_step must be in [1e-4, 0.1], got {grid_step}")
 
     if figure == 1:
         columns = ("alpha", "lower_limit", "upper_limit", "u1_over_n", "u2_over_n")

@@ -38,7 +38,7 @@ import itertools
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import GEKR, ArrayMatrix, DeficiencyReport, Pattern, PatternSet, pack_row
+from .core import GEKR, ArrayMatrix, DeficiencyReport, Pattern, PatternSet
 
 #: Slot counts are padded to a multiple of PAD, so K and H are kept for
 #: multiples of PAD slots only.
@@ -117,9 +117,17 @@ class Lanes:
         holds value in every slot, and K and H repeat once per slot."""
         found = self._carry.get(count)
         if found is None:
-            feet = ((1 << count * self.slot) - 1) // ((1 << self.slot) - 1)
-            found = self._carry[count] = (feet, self._k * feet, self._h * feet)
+            found = self._carry[count] = tuple(self._repeat(v, count) for v in (1, self._k, self._h))
         return found
+
+    def _repeat(self, value: int, count: int) -> int:
+        """value, at most one slot wide, in each of count slots: doubled
+        up by shifted copies, in time linear in the result's size."""
+        done = 1
+        while done < count:
+            value |= value << done * self.slot
+            done *= 2
+        return value & (1 << count * self.slot) - 1
 
     def tape(self, values: Sequence[int], count: int) -> int:
         """values[s] in slot s, then up to count slots of full lanes, the AND identity."""
@@ -134,31 +142,18 @@ class Lanes:
         return _set_slots(h ^ guards, self.slot, base, base + count)
 
 
-def _as_packed(row: int | str | Sequence[int], n: int | None) -> tuple[int, int]:
-    """Coerce a row given as packed int, bit string, or 0/1 sequence."""
-    if isinstance(row, int):
-        if n is None:
-            raise ValueError("packed integer rows need an explicit column count")
-        return row, n
-    packed = pack_row(row)
-    return packed, len(row)
-
-
-def triple_coverage(
-    row_a: int | str | Sequence[int],
-    row_b: int | str | Sequence[int],
-    row_c: int | str | Sequence[int],
-    patterns: PatternSet = GEKR,
-    n: int | None = None,
-) -> frozenset[Pattern]:
-    """Patterns of the set that the ordered triple fails to realize."""
-    a, na = _as_packed(row_a, n)
-    b, nb = _as_packed(row_b, n)
-    c, nc = _as_packed(row_c, n)
-    if not na == nb == nc:
-        raise ValueError(f"row lengths differ: {na}, {nb}, {nc}")
-    lanes = Lanes(patterns, na)
-    return lanes.missing(lanes.pair(a, b), lanes.row(c))
+def scan_bytes(m: int, n: int, patterns: PatternSet = GEKR) -> int:
+    """Bytes that a TripleScan of m rows over n columns takes: blocks 1
+    to m - 2, K and H for every padded length, and the two tapes, with
+    30 bits in 4 bytes as CPython keeps them.  ValueError if they pass
+    MAX_BLOCK_BYTES."""
+    top = _padded(m - 2)  # slots of block 1, the longest scanned
+    # The slots of blocks 1 to m - 2, sum(map(_padded, range(1, m - 1))), in closed form.
+    a, b = divmod(max(m - 2, 0), PAD)
+    slots = PAD * (PAD * a * (a + 1) // 2 + b * (a + 1)) + top * (top // PAD + 1) + 2 * m
+    if (need := slots * len(patterns) * (n + 1) // 30 * 4) > MAX_BLOCK_BYTES:
+        raise ValueError(f"{m} rows need {need} bytes, past the limit of {MAX_BLOCK_BYTES}")
+    return need
 
 
 def triples_through(m: int, triple: tuple[int, int, int] | None) -> int:
@@ -191,14 +186,9 @@ class TripleScan:
     """
 
     def __init__(self, rows: Sequence[int], n: int, patterns: PatternSet = GEKR) -> None:
+        scan_bytes(len(rows), n, patterns)
         lanes = self.lanes = Lanes(patterns, n)
         m = self.m = len(rows)
-        top = _padded(m - 2)  # slots of block 1, the longest scanned
-        # Blocks 1 to m - 2, K and H for every padded length, and the two
-        # tapes; CPython keeps 30 bits in 4 bytes.
-        slots = sum(map(_padded, range(1, m - 1))) + top * (top // PAD + 1) + 2 * m
-        if (need := slots * lanes.slot // 30 * 4) > MAX_BLOCK_BYTES:
-            raise ValueError(f"{m} rows need {need} bytes, past the limit of {MAX_BLOCK_BYTES}")
         self.firsts = [lanes.row(row, 0) for row in rows]
         self.seconds = [lanes.row(row, 1) for row in rows]
         self.thirds = [lanes.row(row) for row in rows]
@@ -306,21 +296,17 @@ class TripleScan:
             self.checked += max(count, 0)
 
 
-def find_deficient(
-    array: ArrayMatrix, patterns: PatternSet = GEKR, stop_early: bool = False
-) -> DeficiencyReport:
+def find_deficient(array: ArrayMatrix, patterns: PatternSet = GEKR) -> DeficiencyReport:
     """Scan all increasing row triples of the array for deficiency, in
-    lexicographic (i, j, l) order.  With stop_early the scan returns
-    after the first deficient triple; total_checked is then its rank plus
-    one.  ValueError if the blocks would pass MAX_BLOCK_BYTES.
+    lexicographic (i, j, l) order.  ValueError if the blocks would pass
+    MAX_BLOCK_BYTES.  TripleScan.first with its checked count gives the
+    first deficient triple and its rank instead.
     """
-    m = array.m
-    hits = TripleScan(array.rows, array.n, patterns).scan((0, 0, 0), stop_early)
-    checked = triples_through(m, hits[0][:3] if stop_early and hits else None)
+    hits = TripleScan(array.rows, array.n, patterns).scan((0, 0, 0), False)
     return DeficiencyReport(
         deficient=tuple((i, j, l) for i, j, l, _ in hits),
         missing=tuple(miss for _, _, _, miss in hits),
-        total_checked=checked,
+        total_checked=comb(array.m, 3),
     )
 
 

@@ -367,15 +367,7 @@ class TestRowBound:
         ]
 
 
-class TestRatioRoots:
-    @pytest.mark.parametrize("n,r", [(10, 5), (100, 66), (500, 250), (2000, 1200)])
-    def test_residuals(self, n, r):
-        for roots in (bounds.phi_ratio_roots(n, r), bounds.psi_ratio_roots(n, r)):
-            a, b, c = roots.coefficients
-            for x in (roots.lower, roots.upper):
-                scale = max(abs(a * x * x), abs(b * x), abs(c), 1.0)
-                assert abs(a * x * x + b * x + c) / scale < 1e-9
-
+class TestDominantTerms:
     def test_argmax_proximity(self):
         # The integer argmax of each term family sits within 2 of the
         # profile's limiting location scaled by n.
@@ -386,12 +378,6 @@ class TestRatioRoots:
                 assert prof.beta is not None
                 assert abs(_float_argmax_phi(n, r) - round(prof.beta * n)) <= 2
                 assert abs(_float_argmax_psi(n, r) - round(prof.kappa * n)) <= 2
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            bounds.phi_ratio_roots(10, 10)
-        with pytest.raises(ValueError):
-            bounds.psi_ratio_roots(10, 0)
 
 
 def _ln_comb(a: int, b: int) -> float:

@@ -315,6 +315,7 @@ class TestFigure:
     def test_bad_args(self, cli):
         assert cli(["figure", "5"])[0] == 2
         assert cli(["figure", "1", "--grid-step", "0.5"])[0] == 2
+        assert cli(["figure", "1", "--grid-step", "1e-9"])[0] == 2
 
 
 class TestMaxFamily:

@@ -1,8 +1,12 @@
 import hashlib
 import logging
 import math
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gekr import construct
 from gekr.bounds import floor_rows, nu
@@ -17,14 +21,47 @@ from gekr.construct import (
     run,
     sample_rows,
 )
-from gekr.core import ModelParams
+from gekr.cli import main
+from gekr.core import Model, ModelParams
 from gekr.verify import find_deficient, first_deficient_triple, is_gekr, triples_through
 
 FIXED_20_14 = ModelParams.fixed_weight(20, 14)
 FIXED_30_20 = ModelParams.fixed_weight(30, 20)
 
 
+def loop_sample_row(params, rng) -> int:
+    """The row sampler as it was written first, one column or one swap
+    at a time: the reference for the packed sampler's rows."""
+    n = params.n
+    if params.model is Model.FIXED_WEIGHT:
+        idx = list(range(n))
+        row = 0
+        for j in range(params.r):
+            t = int(rng.integers(j, n))
+            idx[j], idx[t] = idx[t], idx[j]
+            row |= 1 << idx[j]
+        return row
+    u = rng.random(n)
+    row = 0
+    for j in range(n):
+        if u[j] < float(params.alpha):
+            row |= 1 << j
+    return row
+
+
 class TestSampleRows:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_loop_sampler(self, data):
+        n = data.draw(st.integers(1, 300))
+        if data.draw(st.booleans()):
+            params = ModelParams.fixed_weight(n, data.draw(st.integers(1, n)))
+        else:
+            params = ModelParams.independent(Fraction(data.draw(st.integers(1, 64)), 64), n)
+        seed, row, epoch = (data.draw(st.integers(0, bound)) for bound in (2**32 - 1, 10**4, 20))
+        want = loop_sample_row(params, _row_rng(seed, row, epoch))
+        assert _sample_row(params, _row_rng(seed, row, epoch)) == want
+
     def test_fixed_weight_invariant(self):
         arr = sample_rows(FIXED_20_14, 50, seed=123)
         assert arr.declared_weight == 14
@@ -305,6 +342,21 @@ class TestConfigAndRun:
             ConstructionConfig(params=FIXED_20_14, m=3, seed=0, attempts_per_row=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ConstructionConfig(params=FIXED_20_14, m=3, seed=-1)
+
+    @pytest.mark.parametrize(
+        "argv", [["--k", "2", "--n", "4", "--m", "1000000000000"], ["--n", "1e12", "--k", "3", "--m", "3"]]
+    )
+    def test_scan_size_checked_before_drawing(self, argv, monkeypatch, capsys):
+        def no_draws(*args):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(construct, "_sample_row", no_draws)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", *argv])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "past the limit of" in capsys.readouterr().err
 
     def test_run_dispatch(self):
         for strategy in Strategy:

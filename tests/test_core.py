@@ -15,7 +15,6 @@ from gekr.core import (
     pack_row,
     parse_alpha,
     parse_array,
-    parse_magnitude,
     render_magnitude,
 )
 
@@ -52,12 +51,6 @@ class TestLogMagnitude:
         with pytest.raises(ValueError):
             render_magnitude(v, digits=0)
 
-    def test_parse_inverse(self):
-        assert parse_magnitude("0").is_zero
-        v = parse_magnitude("2.26e289")
-        assert v.log10 == pytest.approx(289.35411, abs=1e-3)
-        assert parse_magnitude("0.5").log10 == pytest.approx(math.log10(0.5))
-
     def test_from_fraction_huge(self):
         v = LogMagnitude.from_fraction(Fraction(10**500, 3))
         assert v.log10 == pytest.approx(500 - math.log10(3))
@@ -81,9 +74,10 @@ class TestLogMagnitude:
     @given(st.floats(min_value=-5000, max_value=5000, allow_nan=False))
     def test_render_parse_round_trip(self, log10):
         v = LogMagnitude.from_log10(log10)
-        back = parse_magnitude(render_magnitude(v, digits=6))
+        mantissa, _, exponent = render_magnitude(v, digits=6).partition("e")
+        back = math.log10(float(mantissa)) + int(exponent)
         # Six significant digits keep the log within ~5e-7.
-        assert abs(back.log10 - v.log10) < 1e-5
+        assert abs(back - v.log10) < 1e-5
 
     @given(
         st.floats(min_value=-1000, max_value=1000, allow_nan=False),

@@ -102,3 +102,42 @@ def test_only_construct_imports_numpy():
     # numpy samples rows; the bounds, the scans and the searches are stdlib only.
     importers = {f for f, name in imported_modules(sorted(SRC.glob("*.py"))) if name == "numpy"}
     assert importers == {"construct.py"}
+
+
+def named(nodes) -> set[str]:
+    """Names that the trees read: ast.Name ids, ast.Attribute attrs and
+    the last part of each import alias."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_every_public_definition_is_named_elsewhere():
+    # A public module-level function or class must be named outside its
+    # own definition: elsewhere in the package, in scripts/, in
+    # perfbench/ or in the paper-reproduction tests.  The re-exports of
+    # __init__ do not count, nor do the tests of the definition itself.
+    outside = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    outside.append(ROOT / "tests" / "test_acceptance.py")
+    shared = named(ast.parse(path.read_text()) for path in outside)
+    modules = {
+        path.name: ast.parse(path.read_text()).body
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert len(modules) >= 7, "wrong source directory"
+    unnamed = []
+    for name, body in modules.items():
+        elsewhere = named(top for other, tops in modules.items() if other != name for top in tops)
+        for top in body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                if top.name not in shared | elsewhere | named(t for t in body if t is not top):
+                    unnamed.append(f"{name}:{top.name}")
+    assert unnamed == []

@@ -62,7 +62,7 @@ class TestArgminMu:
 
 class TestFigureData:
     def test_grid_step_domain(self):
-        for step in (0.0, -0.1, 0.2):
+        for step in (0.0, -0.1, 0.2, 1e-9):
             with pytest.raises(ValueError):
                 figure_data(1, grid_step=step)
         with pytest.raises(ValueError):

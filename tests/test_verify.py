@@ -18,7 +18,6 @@ from gekr.verify import (
     find_deficient_naive,
     first_deficient_triple,
     is_gekr,
-    triple_coverage,
     triples_through,
 )
 
@@ -33,34 +32,30 @@ def random_array(rng: np.random.Generator, m: int, n: int) -> ArrayMatrix:
     return ArrayMatrix(n=n, rows=rows)
 
 
+def coverage(rows, patterns: PatternSet = GEKR, n: int | None = None) -> frozenset:
+    """The patterns that a triple of rows misses, from find_deficient on
+    the 3-row array: rows as bit strings, or packed with n columns."""
+    arr = parse_array("\n".join(rows)) if n is None else ArrayMatrix(n=n, rows=tuple(rows))
+    report = find_deficient(arr, patterns)
+    assert report.total_checked == 1
+    return report.missing[0] if report.deficient else frozenset()
+
+
 class TestTripleCoverage:
     def test_all_ones_rows(self):
-        missing = triple_coverage("11111", "11111", "11111")
+        missing = coverage(["11111", "11111", "11111"])
         assert missing == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_weight_two_columns(self):
-        assert triple_coverage("110", "101", "011") == {(1, 1, 1)}
+        assert coverage(["110", "101", "011"]) == {(1, 1, 1)}
 
     def test_covered_triple(self):
-        assert triple_coverage("1110", "1101", "1011") == frozenset()
-
-    def test_packed_rows_need_length(self):
-        with pytest.raises(ValueError):
-            triple_coverage(0b111, 0b101, 0b011)
-        assert triple_coverage(0b111, 0b111, 0b111, n=3) == {
-            (0, 1, 1),
-            (1, 0, 1),
-            (1, 1, 0),
-        }
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            triple_coverage("110", "1010", "011")
+        assert coverage(["1110", "1101", "1011"]) == frozenset()
 
     def test_general_patterns(self):
         zeros = PatternSet(frozenset({(0, 0, 0)}))
-        assert triple_coverage("10", "10", "10", patterns=zeros) == frozenset()
-        assert triple_coverage("11", "11", "11", patterns=zeros) == {(0, 0, 0)}
+        assert coverage(["10", "10", "10"], patterns=zeros) == frozenset()
+        assert coverage(["11", "11", "11"], patterns=zeros) == {(0, 0, 0)}
 
     @given(st.data())
     @settings(max_examples=60)
@@ -70,9 +65,9 @@ class TestTripleCoverage:
             data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
             for _ in range(3)
         ]
-        base = triple_coverage(rows[0], rows[1], rows[2], n=n)
-        for p, q, s in itertools.permutations(range(3)):
-            assert len(triple_coverage(rows[p], rows[q], rows[s], n=n)) == len(base)
+        base = coverage(rows, n=n)
+        for order in itertools.permutations(rows):
+            assert len(coverage(order, n=n)) == len(base)
 
 
 class TestFindDeficient:
@@ -111,15 +106,15 @@ class TestFindDeficient:
         assert fast.total_checked == naive.total_checked
 
     def test_stop_early_rank(self):
-        # Three deficient triples exist; stop_early must report the
-        # lexicographic rank of the first one as total_checked.
+        # Three deficient triples exist; TripleScan.first stops at the
+        # first one and counts its lexicographic rank plus one as checked.
         arr = parse_array("1100\n1100\n0011\n0101\n")
         full = find_deficient(arr)
-        early = find_deficient(arr, stop_early=True)
-        assert early.deficient == full.deficient[:1]
-        first = full.deficient[0]
+        scan = TripleScan(arr.rows, arr.n)
+        first = scan.first()
+        assert first == full.deficient[0]
         rank = sorted(itertools.combinations(range(arr.m), 3)).index(first)
-        assert early.total_checked == rank + 1
+        assert scan.checked == rank + 1
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -275,12 +270,10 @@ class TestBlockScan:
         arr = ArrayMatrix(n=n, rows=biased_rows(data, m, n))
         naive = find_deficient_naive(arr, patterns)
         assert find_deficient(arr, patterns) == naive
-        early = find_deficient(arr, patterns, stop_early=True)
-        assert early.deficient == naive.deficient[:1]
-        assert early.missing == naive.missing[:1]
         first = naive.deficient[0] if naive.deficient else None
-        assert early.total_checked == triples_through(m, first)
-        assert TripleScan(arr.rows, n, patterns).first() == first
+        scan = TripleScan(arr.rows, n, patterns)
+        assert scan.first() == first
+        assert scan.checked == triples_through(m, first)
         # A start in the middle of a block: l > j + 1.
         starts = [t for t in itertools.combinations(range(m), 3) if t[2] > t[1] + 1]
         if starts:
@@ -327,6 +320,17 @@ class TestBlockLimit:
         # Fewer than three rows need no blocks.
         assert TripleScan(arr.rows[:2], arr.n).first() is None
 
+    def test_closed_form_matches_sum(self):
+        # The reference sums the slots block by block.
+        for n, size in ((1, 1), (9, 4), (62, 4), (80, 8), (200, 3)):
+            patterns = PatternSet(frozenset(ALL_PATTERNS[:size]))
+            blocks = 0  # sum(map(_padded, range(1, m - 1)))
+            for m in range(2001):
+                top = verify._padded(m - 2)
+                blocks += top  # the term c = m - 2, which is _padded(m - 2)
+                slots = blocks + top * (top // verify.PAD + 1) + 2 * m
+                assert verify.scan_bytes(m, n, patterns) == slots * size * (n + 1) // 30 * 4
+
     def test_cli_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(verify, "MAX_BLOCK_BYTES", 100)
         monkeypatch.setattr("sys.stdin", io.StringIO("1110\n1101\n1011\n" * 4))
@@ -347,6 +351,14 @@ class TestLanes:
         assert lanes.row(0b01) == 0b10_001  # lane 0: row, lane 1: complement
         assert lanes.pair(0b01, 0b11) == 0b001_010
         assert not lanes.deficient(lanes.pair(0b10, 0b11), lanes.row(0b01))
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000])
+    def test_carry_repeats_one_slot(self, n):
+        lanes = Lanes(GEKR, n)
+        for count in (0, 1, 2, 3, 5, 16, 17, 48, 64, 100):
+            feet, k, h = lanes.carry(count)
+            assert feet == sum(1 << s * lanes.slot for s in range(count))
+            assert (k, h) == (lanes._k * feet, lanes._h * feet)
 
     def test_guard_carry_stays_in_lane(self):
         # Full lanes next to empty ones: adding K must not carry across.
@@ -410,10 +422,6 @@ class TestLanes:
         assert fast.deficient == naive.deficient
         assert fast.missing == naive.missing
         assert fast.total_checked == naive.total_checked
-        gaps = dict(zip(naive.deficient, naive.missing))
-        for i, j, l in itertools.combinations(range(m), 3):
-            got = triple_coverage(rows[i], rows[j], rows[l], patterns=patterns, n=n)
-            assert got == gaps.get((i, j, l), frozenset())
 
 
 class TestWorkerBounds:
