@@ -7,6 +7,10 @@ over the comb(m, 3) triples, spread over the run, and after each
 resample tests again only the triples before its cursor that hold one
 of the three new rows, so a step costs O(m^2) tests after that pass.
 Greedy extension tests CHUNK accepted pairs per big-int operation.
+Every strategy tests the patterns of core.gekr_patterns: fixed-weight
+rows with 3r > 2n always share a column, so the 111 lane is left out
+and each slot is 3(n + 1) bits instead of 4(n + 1); a triple is
+deficient under the three patterns exactly when it is under all four.
 
 Reproducibility rule: every row draw comes from its own PCG64 stream,
 keyed as SeedSequence(seed, spawn_key=(row_index, epoch)).  A row's
@@ -26,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GEKR, ArrayMatrix, Model, ModelParams
+from .core import ArrayMatrix, Model, ModelParams, PatternSet, gekr_patterns
 from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
 
 #: A progress record goes to the "gekr" logger, at INFO, every this many
@@ -64,7 +68,7 @@ class ConstructionConfig:
             raise ValueError("attempts_per_row must be positive")
         # The scan's size limit, before any row is drawn; at least 3 rows,
         # so that n is bounded for greedy's m = 0 too.
-        scan_bytes(max(self.m, 3), self.params.n)
+        scan_bytes(max(self.m, 3), self.params.n, _patterns(self.params))
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,11 @@ def _declared_weight(params: ModelParams) -> int | None:
     return params.r if params.model is Model.FIXED_WEIGHT else None
 
 
+def _patterns(params: ModelParams) -> PatternSet:
+    """The GEKR patterns that rows of the model can miss."""
+    return gekr_patterns(params.n, _declared_weight(params))
+
+
 def sample_rows(params: ModelParams, m: int, seed: int, epoch: int = 0) -> ArrayMatrix:
     """Draw m rows at the given epoch (fresh arrays use epoch 0)."""
     rows = tuple(
@@ -140,7 +149,7 @@ def moser_tardos(config: ConstructionConfig) -> ConstructionResult:
         _sample_row(params, _row_rng(config.seed, i, 0)) for i in range(config.m)
     ]
     epochs = [0] * config.m
-    scan = TripleScan(rows, params.n)
+    scan = TripleScan(rows, params.n, _patterns(params))
     steps = 0
     while (bad := scan.first()) is not None:
         if steps >= config.max_resamples:
@@ -169,7 +178,7 @@ def rejection(config: ConstructionConfig) -> ConstructionResult:
     checked = 0
     for attempt in range(config.max_resamples + 1):
         array = sample_rows(params, config.m, config.seed, epoch=attempt)
-        bad = first_deficient_triple(array.rows, params.n)
+        bad = first_deficient_triple(array.rows, params.n, _patterns(params))
         checked += triples_through(config.m, bad)
         if bad is None:
             return ConstructionResult(
@@ -194,9 +203,10 @@ def greedy_extend(
     is filled with full lanes, which fail only a candidate failing all.
     """
     n = params.n
-    lanes = Lanes(GEKR, n)
+    lanes = Lanes(_patterns(params), n)
     feet, k, h = lanes.carry(CHUNK)
     rows: list[int] = []
+    firsts: list[int] = []  # lane value of every accepted row as a first
     pairs: list[int] = []  # lane value of every accepted pair
     chunks: list[int] = []  # pairs[c * CHUNK:(c + 1) * CHUNK] as tape c
 
@@ -215,11 +225,13 @@ def greedy_extend(
         if accepted is None:
             break
         start = len(pairs) // CHUNK * CHUNK
-        pairs.extend(lanes.pair(prev, accepted) for prev in rows)
+        second = lanes.row(accepted, 1)
+        pairs.extend(first & second for first in firsts)
         chunks[start // CHUNK :] = [
             lanes.tape(pairs[c : c + CHUNK], CHUNK) for c in range(start, len(pairs), CHUNK)
         ]
         rows.append(accepted)
+        firsts.append(lanes.row(accepted, 0))
 
     return ArrayMatrix(
         n=n, rows=tuple(rows), declared_weight=_declared_weight(params)

@@ -67,6 +67,16 @@ class PatternSet:
 GEKR = PatternSet(frozenset({(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)}))
 
 
+def gekr_patterns(n: int, weight: int | None) -> PatternSet:
+    """The GEKR patterns that a triple of rows over n columns can miss.
+    Three rows of weight r share at least 3r - 2n columns, so when every
+    row has the declared weight r and 3r > 2n, no triple misses 111
+    (bounds.sigma1 is 0 there) and only 011, 101 and 110 need testing."""
+    if weight is not None and 3 * weight > 2 * n:
+        return PatternSet(GEKR.members - {(1, 1, 1)})
+    return GEKR
+
+
 @dataclass(frozen=True, order=True)
 class LogMagnitude:
     """A non-negative real carried as its base-10 logarithm.

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .core import GEKR, ArrayMatrix, Pattern, PatternSet
+from .core import ArrayMatrix, Pattern, PatternSet, gekr_patterns
 from .verify import Lanes
 
 #: Column-count ceiling for the enumeration oracles.
@@ -88,7 +88,8 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     At each node the candidate list holds exactly the rows compatible
     with every pair already chosen, so the bound len(chosen) +
     len(candidates) is valid and filtering is incremental: extending by
-    row S only needs the new pairs (A, S) re-checked.  Search order is
+    row S only needs the new pairs (A, S) re-checked, on the patterns of
+    core.gekr_patterns (no 111 lane when 3k > 2n).  Search order is
     deterministic, so results are reproducible run to run.
 
     Families of size <= 2 are vacuously valid (no triples), so the
@@ -103,9 +104,10 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
         )
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
-    lanes = Lanes(GEKR, n)
+    lanes = Lanes(gekr_patterns(n, k), n)
     masks = _subset_masks(n, k)
-    third = {mask: lanes.row(mask) for mask in masks}
+    # Lane values of every mask at each place of a triple.
+    first, second, third = ({mask: lanes.row(mask, place) for mask in masks} for place in range(3))
 
     best_size = min(2, len(masks))
     best_witness = masks[: best_size]
@@ -127,7 +129,7 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
             # One tape of the new pairs (prev, cand): a candidate stays
             # if no pair leaves it a pattern short.
             feet, k, h = lanes.carry(len(chosen))
-            pairs = lanes.tape([lanes.pair(prev, cand) for prev in chosen], len(chosen))
+            pairs = lanes.tape([first[prev] & second[cand] for prev in chosen], len(chosen))
             narrowed = [c for c in candidates[pos + 1 :] if (third[c] * feet & pairs) + k & h == h]
             chosen.append(cand)
             dfs(chosen, narrowed)

@@ -24,12 +24,19 @@ mask of all guard bits, the triple is deficient iff
 With two rows fixed, many thirds are tested per operation.  Slot s of
 an integer holds a lane value at bits s*S.. of S = P*w bits, for P
 patterns; a tape (Lanes.tape) holds lane values in consecutive slots.
-With feet, K and H repeated per slot (Lanes.carry), a lane value spread
-over a tape tests every slot at once, ((value * feet & tape) + K) & H
-!= H, and Lanes.clear decodes the clear guard bits, lowest slot first.
-TripleScan keeps block j, seconds[j] & thirds[l] in slot l - j - 1 for
-each l > j, and a tape of seconds for the triples (i, j, r) of fixed i
-and r; the blocks take about comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
+Lanes.spread copies a lane value into every slot by shifted copies, and
+with K and H repeated per slot (Lanes.carry), ((spread & tape) + K) & H
+!= H tests every slot at once; Lanes.clear decodes the clear guard
+bits, lowest slot first.  TripleScan keeps, for every row j but the
+last, block j: seconds[j] & thirds[l] in slot l - j - 1 for each l > j.
+The blocks take about comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
+
+GEKR and {011, 101, 110} are each closed under permuting the three
+places, so whether a triple misses a pattern of either set does not
+depend on the order of its rows.  The triples that hold row r are then
+the {r, j, l} with j < l, both other than r, and the spread of r's lane
+value as a first row, tested against block j, covers those whose
+smallest other row is j: block 0 serves this and nothing else.
 """
 
 from __future__ import annotations
@@ -71,22 +78,25 @@ class Lanes:
         self.width = n + 1
         self.slot = len(self.patterns) * self.width
         self.full = (1 << n) - 1
-        # _feet[place][bit]: bit 0 of every lane whose pattern reads `bit`
-        # at position `place`; multiplying a row by it copies the row there.
-        self._feet = [[0, 0], [0, 0], [0, 0]]
-        for t, pattern in enumerate(self.patterns):
-            for place, bit in enumerate(pattern):
-                self._feet[place][bit] |= 1 << (t * self.width)
-        feet = self._feet[0][0] | self._feet[0][1]
+        # _reads[place]: (first bit of lane t, the bit pattern t reads at
+        # position place) for every lane t.
+        self._reads = [
+            [(t * self.width, pattern[place]) for t, pattern in enumerate(self.patterns)]
+            for place in range(3)
+        ]
+        feet = sum(1 << shift for shift, _ in self._reads[0])
         self._k, self._h = self.full * feet, feet << n
         self._missing: dict[int, frozenset[Pattern]] = {}
         self._carry: dict[int, tuple[int, int, int]] = {}
 
     def row(self, row: int, place: int = 2) -> int:
         """Lane value of a row standing at position place (0, 1 or 2) of
-        a triple: the row itself or its complement in every lane."""
-        zero, one = self._feet[place]
-        return row * one | (row ^ self.full) * zero
+        a triple: the row itself or its complement in every lane, put
+        there by one shift per lane."""
+        value, sel = 0, (row ^ self.full, row)
+        for shift, bit in self._reads[place]:
+            value |= sel[bit] << shift
+        return value
 
     def pair(self, a: int, b: int) -> int:
         """Lane value of the first two rows of a triple."""
@@ -114,13 +124,14 @@ class Lanes:
 
     def carry(self, count: int) -> tuple[int, int, int]:
         """(feet, K, H) for count slots, each built once: value * feet
-        holds value in every slot, and K and H repeat once per slot."""
+        holds value in every slot, and K and H repeat once per slot.
+        value * feet costs more than spread past a few machine words."""
         found = self._carry.get(count)
         if found is None:
-            found = self._carry[count] = tuple(self._repeat(v, count) for v in (1, self._k, self._h))
+            found = self._carry[count] = tuple(self.spread(v, count) for v in (1, self._k, self._h))
         return found
 
-    def _repeat(self, value: int, count: int) -> int:
+    def spread(self, value: int, count: int) -> int:
         """value, at most one slot wide, in each of count slots: doubled
         up by shifted copies, in time linear in the result's size."""
         done = 1
@@ -143,17 +154,45 @@ class Lanes:
 
 
 def scan_bytes(m: int, n: int, patterns: PatternSet = GEKR) -> int:
-    """Bytes that a TripleScan of m rows over n columns takes: blocks 1
-    to m - 2, K and H for every padded length, and the two tapes, with
-    30 bits in 4 bytes as CPython keeps them.  ValueError if they pass
-    MAX_BLOCK_BYTES."""
-    top = _padded(m - 2)  # slots of block 1, the longest scanned
-    # The slots of blocks 1 to m - 2, sum(map(_padded, range(1, m - 1))), in closed form.
-    a, b = divmod(max(m - 2, 0), PAD)
-    slots = PAD * (PAD * a * (a + 1) // 2 + b * (a + 1)) + top * (top // PAD + 1) + 2 * m
+    """Bytes that a TripleScan of m rows over n columns takes: blocks 0
+    to m - 2, K and H for every padded length, and the tape of thirds,
+    with 30 bits in 4 bytes as CPython keeps them.  ValueError if they
+    pass MAX_BLOCK_BYTES.  Fewer than three rows hold no triple and
+    keep no blocks."""
+    c = m - 1 if m > 2 else 0
+    top = _padded(c)  # slots of block 0, the longest
+    # The slots of blocks 0 to m - 2, sum(map(_padded, range(1, m))), in closed form.
+    a, b = divmod(c, PAD)
+    slots = PAD * (PAD * a * (a + 1) // 2 + b * (a + 1)) + top * (top // PAD + 1) + m
     if (need := slots * len(patterns) * (n + 1) // 30 * 4) > MAX_BLOCK_BYTES:
         raise ValueError(f"{m} rows need {need} bytes, past the limit of {MAX_BLOCK_BYTES}")
     return need
+
+
+def _before(m: int, cursor: tuple[int, int, int]) -> int:
+    """How many increasing triples from range(m) come lexicographically
+    before cursor, which may be any triple of naturals."""
+    i, j, l = cursor
+    if i >= m:
+        return comb(m, 3)
+    count = comb(m, 3) - comb(m - i, 3)  # (a, b, c) with a < i
+    if j <= i:
+        return count
+    j = min(j, m)
+    # (i, b, c) with b < j, then (i, j, c) with c < l.
+    return count + comb(m - i - 1, 2) - comb(m - j, 2) + max(min(l, m) - j - 1, 0)
+
+
+def _without(cursor: tuple[int, int, int], r: int) -> tuple[int, int, int]:
+    """The cursor among the rows other than r, renumbered 0, 1, ...: the
+    triples that do not hold r keep their order, and exactly those that
+    were before the cursor are before the result."""
+    out: list[int] = []
+    for x in cursor:
+        if x == r:  # a triple's row there is before the cursor iff below r
+            return (*out, r, 0, 0)[:3]
+        out.append(x - (x > r))
+    return (out[0], out[1], out[2])
 
 
 def triples_through(m: int, triple: tuple[int, int, int] | None) -> int:
@@ -163,26 +202,30 @@ def triples_through(m: int, triple: tuple[int, int, int] | None) -> int:
     if triple is None:
         return comb(m, 3)
     i, j, l = triple
-    return comb(m, 3) - comb(m - i, 3) + comb(m - i - 1, 2) - comb(m - j, 2) + (l - j)
+    return _before(m, (i, j, l + 1))
 
 
 class TripleScan:
     """Deficient triples of m rows, some of which may be replaced between
-    searches, with the blocks and tapes of the module docstring kept;
-    ValueError if they would pass MAX_BLOCK_BYTES.
+    searches, with the blocks of the module docstring kept; ValueError
+    if they would pass MAX_BLOCK_BYTES.
 
     scan is the lexicographic forward loop.  first and replace make it
     incremental for a resampling loop such as Moser-Tardos.  They keep a
     cursor, the first triple not yet known to be clean, and found, the
     deficient triples before it; every other triple before the cursor is
     clean.  first returns min(found), or runs scan from the cursor until
-    it meets a deficient triple.  replace patches the blocks and tapes,
-    drops the found triples that hold a replaced row and tests again
-    every triple before the cursor that holds one, about 3 m^2 / 2 of
-    them for three rows.  Either way the answer is the lexicographically
-    first deficient triple of the current rows, as first_deficient_triple
-    would give, and only the first full pass costs comb(m, 3) tests.
-    checked counts the tests made.
+    it meets a deficient triple.  replace patches the blocks, drops the
+    found triples that hold a replaced row and tests again every triple
+    before the cursor that holds one: one spread of the row, tested
+    against each block, as the module docstring sets out.  That needs a
+    pattern set closed under permuting the places, and replace raises
+    ValueError for any other.  Either way the answer is the
+    lexicographically first deficient triple of the current rows, as
+    first_deficient_triple would give, and only the first full pass
+    costs comb(m, 3) tests.  checked counts the triples tested: those
+    before the cursor, plus, for each replaced row, those before the
+    cursor that hold it.
     """
 
     def __init__(self, rows: Sequence[int], n: int, patterns: PatternSet = GEKR) -> None:
@@ -192,32 +235,31 @@ class TripleScan:
         self.firsts = [lanes.row(row, 0) for row in rows]
         self.seconds = [lanes.row(row, 1) for row in rows]
         self.thirds = [lanes.row(row) for row in rows]
-        self._second_tape = lanes.tape(self.seconds, m + PAD)
         self._third_tape = lanes.tape(self.thirds, m + PAD)
-        # j = 0 has no block, since a scanned triple has j > i >= 0.
-        self._blocks = [self._block(j) if j else (0, 0, 0) for j in range(m - 1)]
+        self._blocks = [self._block(j) for j in range(m - 1)] if m > 2 else []
         self.cursor = (0, 0, 0)  # scan reads this as the first triple, (0, 1, 2)
         self.found: set[tuple[int, int, int]] = set()
         self.checked = 0
-        self._passed = 0  # triples before the cursor
 
     def _block(self, j: int) -> tuple[int, int, int]:  # with its K and H
-        feet, k, h = self.lanes.carry(_padded(self.m - 1 - j))
-        return self.seconds[j] * feet & self._third_tape >> (j + 1) * self.lanes.slot, k, h
+        count = _padded(self.m - 1 - j)
+        _, k, h = self.lanes.carry(count)
+        spread = self.lanes.spread(self.seconds[j], count)
+        return spread & self._third_tape >> (j + 1) * self.lanes.slot, k, h
 
     def scan(
         self, start: tuple[int, int, int], stop_early: bool
     ) -> list[tuple[int, int, int, frozenset[Pattern]]]:
         """Deficient triples from start (inclusive) on, in lexicographic
         order.  start need not be an increasing triple: (i, 0, 0) begins
-        at the first triple of row i."""
+        at the first triple of row i.  Block 0 is never read."""
         m, lanes = self.m, self.lanes
-        slot, feet = lanes.slot, lanes.carry(_padded(m - 2))[0]
+        slot, count = lanes.slot, _padded(m - 2)
         firsts, seconds, thirds, blocks = self.firsts, self.seconds, self.thirds, self._blocks
         hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
         i_start, j_from, l_from = start
         for i in range(i_start, m - 2):
-            spread = firsts[i] * feet
+            spread = lanes.spread(firsts[i], count)
             for j in range(max(j_from, i + 1), m - 1):
                 block, k, h = blocks[j]
                 guards = (spread & block) + k & h
@@ -235,65 +277,59 @@ class TripleScan:
     def first(self) -> tuple[int, int, int] | None:
         """Lexicographically first deficient triple of the current rows."""
         if not self.found:
-            hits = self.scan(self.cursor, True)
-            hit = hits[0][:3] if hits else None
-            passed = triples_through(self.m, hit)
-            self.checked += passed - self._passed
-            self._passed = passed
-            if hit is None:
-                self.cursor = (self.m, 0, 0)
+            m, start = self.m, self.cursor
+            hits = self.scan(start, True)
+            self.cursor = (hits[0][0], hits[0][1], hits[0][2] + 1) if hits else (m, 0, 0)
+            self.checked += _before(m, self.cursor) - _before(m, start)
+            if not hits:
                 return None
-            self.found.add(hit)
-            self.cursor = (hit[0], hit[1], hit[2] + 1)
+            self.found.add(hits[0][:3])
         return min(self.found)
 
     def replace(self, rows: dict[int, int]) -> None:
-        """Put in new rows by index and bring the tapes, the blocks (slot
+        """Put in new rows by index and bring the tape, the blocks (slot
         r - j - 1 of each block j < r, and block r) and found up to date."""
         lanes, slot, blocks = self.lanes, self.lanes.slot, self._blocks
+        patterns = lanes.patterns
+        if any(q not in patterns for p in patterns for q in itertools.permutations(p)):
+            raise ValueError(f"replace needs patterns closed under permutation, got {patterns}")
+        if not blocks:
+            return  # no triple to keep up to date
         for r, row in rows.items():
-            second, third = lanes.row(row, 1), lanes.row(row)
+            third = lanes.row(row)
             change = third ^ self.thirds[r]
-            self._second_tape ^= (second ^ self.seconds[r]) << r * slot
             self._third_tape ^= change << r * slot
-            self.firsts[r] = lanes.row(row, 0)
-            self.seconds[r] = second
-            self.thirds[r] = third
-            for j in range(1, r):
+            self.firsts[r], self.seconds[r], self.thirds[r] = lanes.row(row, 0), lanes.row(row, 1), third
+            for j in range(r):
                 block, k, h = blocks[j]
                 blocks[j] = (block ^ (self.seconds[j] & change) << (r - j - 1) * slot, k, h)
         for r in rows:
-            if 0 < r < self.m - 1:
+            if r < self.m - 1:
                 blocks[r] = self._block(r)
         self.found = {t for t in self.found if rows.keys().isdisjoint(t)}
         for r in rows:
             self._rescan(r)
 
     def _rescan(self, r: int) -> None:
-        """Test every triple before the cursor that holds row r, at each
-        of its three places, adding the deficient ones to found.  A triple
-        holding two replaced rows is tested once for each."""
-        m, lanes, found = self.m, self.lanes, self.found
-        firsts, blocks = self.firsts, self._blocks
-        ci, cj, cl = self.cursor
-        # (r, j, l), (i, r, l): l runs to the cursor's bound; row m - 1 heads no block.
-        heads = itertools.chain(
-            ((r, j) for j in range(r + 1, m - 1 if r <= ci else 0)),
-            ((i, r) for i in range(min(r, ci + 1) if r < m - 1 else 0)),
-        )
-        for i, j in heads:
-            stop = m if (i, j) < (ci, cj) else cl if (i, j) == (ci, cj) else 0
-            count = stop - j - 1
-            found.update((i, j, l) for l in lanes.clear(firsts[i], blocks[j][0], count, j + 1))
-            self.checked += max(count, 0)
-        # (i, j, r): j runs up to r, or to the cursor's bound when i == ci.
-        third, slot = self.thirds[r], lanes.slot
-        for i in range(min(r - 1, ci + 1)):
-            stop = r if i < ci else min(r, cj + (r < cl))
-            count = stop - i - 1
-            seconds = self._second_tape >> (i + 1) * slot
-            found.update((i, j, r) for j in lanes.clear(firsts[i] & third, seconds, count, i + 1))
-            self.checked += max(count, 0)
+        """Test every triple before the cursor that holds row r, adding
+        the deficient ones to found, and count them in checked: the
+        triples before the cursor less those without r.  A triple holding
+        two replaced rows is tested once for each."""
+        m, slot, blocks, found = self.m, self.lanes.slot, self._blocks, self.found
+        cursor = ci, cj, _ = self.cursor
+        spread = self.lanes.spread(self.firsts[r], _padded(m - 1))
+        # min(r, j) <= ci for a triple before the cursor, and j <= cj too
+        # when r == ci < j.
+        stop = m - 1 if r < ci else cj + 1 if r == ci else 0
+        for j in itertools.chain(range(min(r, ci + 1)), range(r + 1, stop)):
+            block, k, h = blocks[j]
+            guards = (spread & block) + k & h
+            if guards != h:
+                # Slot r - j - 1 of block j < r holds row r itself.
+                for l in _set_slots(h ^ guards, slot, j + 1, m):
+                    if l != r and (triple := tuple(sorted((r, j, l)))) < cursor:
+                        found.add(triple)
+        self.checked += _before(m, cursor) - _before(m - 1, _without(cursor, r))
 
 
 def find_deficient(array: ArrayMatrix, patterns: PatternSet = GEKR) -> DeficiencyReport:

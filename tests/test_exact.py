@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gekr.bounds import sigma1, sigma2
+from gekr.core import GEKR, gekr_patterns
 from gekr.exact import (
     MAX_ENUM_N,
     enumerate_missing_prob,
@@ -35,6 +36,17 @@ class TestEnumerateMissingProb:
             for pat in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
         }
         assert len(probs) == 1
+
+    def test_111_lane_pruned_exactly_when_never_missed(self):
+        # Three weight-r rows share at least 3r - 2n columns, so 111 is
+        # never missed when 3r > 2n; below that some triple misses it.
+        for n in range(1, MAX_ENUM_N + 1):
+            for r in range(1, n + 1):
+                never = 3 * r > 2 * n
+                assert (enumerate_missing_prob(n, r, (1, 1, 1)) == 0) == never, (n, r)
+                assert (sigma1(n, r) == 0) == never, (n, r)
+                assert gekr_patterns(n, r).members == GEKR.members - ({(1, 1, 1)} if never else set())
+                assert gekr_patterns(n, None) == GEKR
 
     def test_domain(self):
         with pytest.raises(ValueError):

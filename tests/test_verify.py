@@ -23,6 +23,8 @@ from gekr.verify import (
 
 COVERED_3X4 = parse_array("1110\n1101\n1011\n")
 ALL_PATTERNS = sorted(itertools.product((0, 1), repeat=3))
+#: GEKR without 111, the set that scans of heavy fixed-weight rows test.
+PAIRWISE = PatternSet(GEKR.members - {(1, 1, 1)})
 
 
 def random_array(rng: np.random.Generator, m: int, n: int) -> ArrayMatrix:
@@ -206,9 +208,7 @@ class TestTripleScan:
         # Replace the rows of the first deficient triple, as Moser-Tardos
         # does, or up to three arbitrary rows; after each replacement
         # first() must be the naive scan's first hit on the current rows.
-        patterns = data.draw(
-            st.sampled_from([GEKR, PatternSet(frozenset(ALL_PATTERNS[3:6]))])
-        )
+        patterns = data.draw(st.sampled_from([GEKR, PAIRWISE]))
         m = data.draw(st.integers(min_value=0, max_value=30))
         n = data.draw(st.integers(min_value=1, max_value=7))
         row = st.integers(min_value=0, max_value=(1 << n) - 1)
@@ -233,6 +233,67 @@ class TestTripleScan:
         # One forward pass in all, and at most every triple holding a
         # replaced row per replacement.
         assert scan.checked <= comb(m, 3) + replaced * comb(max(m - 1, 0), 2)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rescan_matches_brute_force(self, data):
+        # After each replacement, found is exactly the deficient triples
+        # before the cursor, and checked is the forward pass plus, for
+        # each replaced row, the triples before the cursor that hold it.
+        # m runs over the padding edges: block 0 of 16, 17, 18 or 33 slots.
+        patterns = data.draw(st.sampled_from([GEKR, PAIRWISE]))
+        m = data.draw(st.integers(0, 30) | st.sampled_from([17, 18, 19, 34]))
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        rows = list(biased_rows(data, m, n))
+        triples = list(itertools.combinations(range(m), 3))
+        scan = TripleScan(rows, n, patterns)
+        rescanned = 0
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            bad = scan.first()
+            assert bad == naive_first(rows, n, patterns)
+            if bad is not None and data.draw(st.booleans()):
+                targets = set(bad)
+            else:
+                targets = data.draw(st.sets(st.integers(0, m - 1), max_size=3)) if m else set()
+            new = {r: data.draw(st.integers(0, (1 << n) - 1)) for r in targets}
+            rescanned += sum(r in t for r in new for t in triples if t < scan.cursor)
+            rows[:] = [new.get(r, row) for r, row in enumerate(rows)]
+            scan.replace(new)
+            deficient = find_deficient_naive(ArrayMatrix(n=n, rows=tuple(rows)), patterns)
+            assert scan.found == {t for t in deficient.deficient if t < scan.cursor}
+            passed = sum(t < scan.cursor for t in triples)
+            assert scan.checked == passed + rescanned
+
+    @pytest.mark.parametrize("patterns", [GEKR, PAIRWISE])
+    @pytest.mark.parametrize("m", [18, 34])
+    def test_block_zero_edges(self, m, patterns):
+        # Clean rows, then new rows and copies of row 0.  Slot m - 2 of
+        # block 0, which a spread over padded(m - 2) slots leaves out at
+        # m = 18 and 34, holds (0, 1, m - 1) clean and then (0, 2, m - 1)
+        # deficient; slot 4 holds (0, 5, 9), which only a block 0 patched
+        # for row 5 finds again when row 9 is replaced.
+        rng = random.Random(m)
+        rows = [rng.getrandbits(120) for _ in range(m)]
+        scan = TripleScan(rows, 120, patterns)
+        assert scan.first() is None
+        fresh = rng.getrandbits
+        for new in ({1: fresh(120)}, {m - 1: rows[0]}, {2: fresh(120)}, {5: rows[0]}, {9: fresh(120)}):
+            rows[:] = [new.get(r, row) for r, row in enumerate(rows)]
+            scan.replace(new)
+            naive = find_deficient_naive(ArrayMatrix(n=120, rows=tuple(rows)), patterns)
+            assert scan.found == set(naive.deficient)
+            assert scan.first() == min(scan.found, default=None)
+        assert {(0, 2, m - 1), (0, 5, 9)} <= scan.found
+
+    def test_replace_needs_closed_patterns(self):
+        # {011, 100, 101} holds 011 but not 110, so the order of a
+        # triple's rows matters; scanning it still works.
+        patterns = PatternSet(frozenset(ALL_PATTERNS[3:6]))
+        rows = (0b0110, 0b1010, 0b0011, 0b1111)
+        scan = TripleScan(rows, 4, patterns)
+        assert scan.first() == naive_first(rows, 4, patterns)
+        with pytest.raises(ValueError, match="closed under permutation"):
+            scan.replace({0: 0b0101})
 
 
 def biased_rows(data, m: int, n: int) -> tuple[int, ...]:
@@ -321,14 +382,15 @@ class TestBlockLimit:
         assert TripleScan(arr.rows[:2], arr.n).first() is None
 
     def test_closed_form_matches_sum(self):
-        # The reference sums the slots block by block.
+        # The reference sums the slots block by block: blocks 0 to m - 2,
+        # which fewer than three rows do not keep, then one tape.
         for n, size in ((1, 1), (9, 4), (62, 4), (80, 8), (200, 3)):
             patterns = PatternSet(frozenset(ALL_PATTERNS[:size]))
-            blocks = 0  # sum(map(_padded, range(1, m - 1)))
+            running = 0  # sum(map(_padded, range(1, m)))
             for m in range(2001):
-                top = verify._padded(m - 2)
-                blocks += top  # the term c = m - 2, which is _padded(m - 2)
-                slots = blocks + top * (top // verify.PAD + 1) + 2 * m
+                running += verify._padded(m - 1)  # the term c = m - 1
+                top, blocks = (verify._padded(m - 1), running) if m > 2 else (0, 0)
+                slots = blocks + top * (top // verify.PAD + 1) + m
                 assert verify.scan_bytes(m, n, patterns) == slots * size * (n + 1) // 30 * 4
 
     def test_cli_exits_two(self, monkeypatch, capsys):
@@ -359,6 +421,23 @@ class TestLanes:
             feet, k, h = lanes.carry(count)
             assert feet == sum(1 << s * lanes.slot for s in range(count))
             assert (k, h) == (lanes._k * feet, lanes._h * feet)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000])
+    def test_spread_and_row_match_products(self, n):
+        # The shifted copies give what a multiplication by the sparse
+        # constant gives: feet for a spread, and for a row the bit 0 of
+        # every lane whose pattern reads 1 (or 0) at that place.
+        rng = random.Random(n)
+        lanes = Lanes(GEKR, n)
+        for place in range(3):
+            one = sum(1 << t * lanes.width for t, p in enumerate(lanes.patterns) if p[place])
+            zero = sum(1 << t * lanes.width for t, p in enumerate(lanes.patterns) if not p[place])
+            for row in (0, lanes.full, rng.getrandbits(n)):
+                assert lanes.row(row, place) == row * one | (row ^ lanes.full) * zero
+        for count in (0, 1, 2, 3, 5, 16, 17, 48, 64, 100, 289):
+            feet = sum(1 << s * lanes.slot for s in range(count))
+            for value in (lanes.row(rng.getrandbits(n)), lanes.carry(1)[1]):
+                assert lanes.spread(value, count) == value * feet
 
     def test_guard_carry_stays_in_lane(self):
         # Full lanes next to empty ones: adding K must not carry across.
