@@ -118,13 +118,22 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         parser.error(f"workers must be at least 1, got {args.workers}")
+    # An input past the scan's own byte limit is refused before it is
+    # read: a file by its size, stdin once that many bytes have come.
+    limit = verify.MAX_BLOCK_BYTES
     try:
         if args.path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read(limit + 1)
+        elif Path(args.path).stat().st_size > limit:
+            text = None
         else:
-            text = Path(args.path).read_text()
+            with open(args.path) as stream:
+                text = stream.read(limit + 1)
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
+        return 2
+    if text is None or len(text) > limit:
+        print(f"{args.path}: input passes the limit of {limit} bytes", file=sys.stderr)
         return 2
     try:
         array = parse_array(text)

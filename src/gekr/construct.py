@@ -204,7 +204,7 @@ def greedy_extend(
     """
     n = params.n
     lanes = Lanes(_patterns(params), n)
-    feet, k, h = lanes.carry(CHUNK)
+    feet, (k, h) = lanes.spread(1, CHUNK), lanes.carry(CHUNK)
     rows: list[int] = []
     firsts: list[int] = []  # lane value of every accepted row as a first
     pairs: list[int] = []  # lane value of every accepted pair

@@ -103,14 +103,6 @@ class LogMagnitude:
         return cls(log10)
 
     @classmethod
-    def from_float(cls, value: float) -> "LogMagnitude":
-        if value < 0:
-            raise ValueError(f"magnitude must be non-negative, got {value}")
-        if value == 0:
-            return cls.zero()
-        return cls.from_log10(math.log10(value))
-
-    @classmethod
     def from_fraction(cls, value: Fraction) -> "LogMagnitude":
         """Exact rational to log magnitude; safe for huge numerators."""
         if value < 0:
@@ -121,14 +113,6 @@ class LogMagnitude:
         return cls.from_log10(
             math.log10(value.numerator) - math.log10(value.denominator)
         )
-
-    def to_float(self) -> float:
-        """The plain float value; raises OverflowError out of range."""
-        if self.is_zero:
-            return 0.0
-        if self.log10 > 308:
-            raise OverflowError(f"10^{self.log10:.1f} exceeds float range")
-        return 10.0 ** self.log10
 
     def scientific(self, digits: int = 3) -> tuple[float, int]:
         """Mantissa in [1, 10) and exponent, mantissa rounded to

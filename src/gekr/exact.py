@@ -47,13 +47,16 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
         raise ValueError(
             f"enumeration limited to 1 <= r <= n <= {MAX_ENUM_N}, got r={r}, n={n}"
         )
+    # One lane, so one guard bit per slot: a pair's misses are the clear
+    # guard bits of one carry test against the tape of every third.
     lanes = Lanes(PatternSet(frozenset({tuple(pattern)})), n)
     masks = _subset_masks(n, r)
     thirds = lanes.tape([lanes.row(c) for c in masks], len(masks))
+    k, h = lanes.carry(len(masks))
     count = 0
     for b in masks:
-        pair = lanes.pair(masks[0], b)
-        count += len(list(lanes.clear(pair, thirds, len(masks))))
+        pair = lanes.spread(lanes.pair(masks[0], b), len(masks))
+        count += (h ^ (pair & thirds) + k & h).bit_count()
     return Fraction(count, len(masks) ** 2)
 
 
@@ -114,11 +117,18 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     nodes = 0
     budget_hit = False
 
+    # levels[t]: (feet, K, H) for the t slots of a tape at depth t, where
+    # feet holds 1 in each slot; built once per depth.
+    levels: list[tuple[int, int, int]] = []
+
     def dfs(chosen: list[int], candidates: list[int]) -> None:
         nonlocal best_size, best_witness, nodes, budget_hit
         if len(chosen) > best_size:
             best_size = len(chosen)
             best_witness = list(chosen)
+        if len(levels) == len(chosen):
+            levels.append((lanes.spread(1, len(chosen)), *lanes.carry(len(chosen))))
+        feet, k, h = levels[len(chosen)]
         for pos, cand in enumerate(candidates):
             if len(chosen) + len(candidates) - pos <= best_size:
                 return  # even taking every remaining candidate cannot win
@@ -128,7 +138,6 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
                 return
             # One tape of the new pairs (prev, cand): a candidate stays
             # if no pair leaves it a pattern short.
-            feet, k, h = lanes.carry(len(chosen))
             pairs = lanes.tape([first[prev] & second[cand] for prev in chosen], len(chosen))
             narrowed = [c for c in candidates[pos + 1 :] if (third[c] * feet & pairs) + k & h == h]
             chosen.append(cand)

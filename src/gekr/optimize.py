@@ -49,12 +49,13 @@ def _grid(a: float, b: float, step: float) -> list[float]:
 def _refine(
     f: Callable[[float], float],
     grid: list[float],
+    values: list[float],
     lo_clip: float,
     hi_clip: float,
     tol: float,
 ) -> float:
-    """Grid argmin, then golden-section on the bracketing neighbours."""
-    values = [f(x) for x in grid]
+    """Argmin of f over the grid, whose values f(x) are given, then
+    golden-section on the bracketing neighbours."""
     k = min(range(len(grid)), key=values.__getitem__)
     lo = grid[k - 1] if k > 0 else max(lo_clip, grid[0] - (grid[1] - grid[0]))
     hi = grid[k + 1] if k + 1 < len(grid) else hi_clip
@@ -74,7 +75,7 @@ def argmin_independent(n: int, tol: float = 1e-6) -> tuple[float, LogMagnitude]:
         return p_independent(alpha, n).log10
 
     grid = _grid(0.001, 0.999, 0.001)
-    alpha_star = _refine(objective, grid, 1e-9, 1.0 - 1e-9, tol)
+    alpha_star = _refine(objective, grid, [objective(x) for x in grid], 1e-9, 1.0 - 1e-9, tol)
     return alpha_star, p_independent(alpha_star, n)
 
 
@@ -82,7 +83,7 @@ def argmin_mu(tol: float = 1e-6, grid_step: float = 1e-4) -> tuple[float, float]
     """Density minimizing the fixed-weight decay base mu, with the
     minimal mu.  Scans the branch where the pairwise sum dominates
     (alpha > 1/2) on a grid_step grid and checks the other branch's
-    best against it before refining the winner.
+    best against it before refining the winner; a tie goes to alpha > 1/2.
     """
     if not 0 < grid_step <= 0.01:
         raise ValueError(f"grid_step must be in (0, 0.01], got {grid_step}")
@@ -95,19 +96,10 @@ def argmin_mu(tol: float = 1e-6, grid_step: float = 1e-4) -> tuple[float, float]
 
     theta_vals = [mu_of(x) for x in theta_grid]
     xi_vals = [mu_of(x) for x in xi_grid]
-    k_theta = min(range(len(theta_grid)), key=theta_vals.__getitem__)
-    k_xi = min(range(len(xi_grid)), key=xi_vals.__getitem__)
-
-    if theta_vals[k_theta] <= xi_vals[k_xi]:
-        grid, k = theta_grid, k_theta
-        lo_clip, hi_clip = 0.5 + 1e-9, 1.0
+    if min(theta_vals) <= min(xi_vals):
+        alpha_star = _refine(mu_of, theta_grid, theta_vals, 0.5 + 1e-9, 1.0, tol)
     else:
-        grid, k = xi_grid, k_xi
-        lo_clip, hi_clip = 1e-9, 0.5
-
-    lo = grid[k - 1] if k > 0 else lo_clip
-    hi = grid[k + 1] if k + 1 < len(grid) else hi_clip
-    alpha_star = golden_section(mu_of, max(lo, lo_clip), min(hi, hi_clip), tol=tol)
+        alpha_star = _refine(mu_of, xi_grid, xi_vals, 1e-9, 0.5, tol)
     return alpha_star, mu_of(alpha_star)
 
 

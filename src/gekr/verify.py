@@ -25,11 +25,16 @@ With two rows fixed, many thirds are tested per operation.  Slot s of
 an integer holds a lane value at bits s*S.. of S = P*w bits, for P
 patterns; a tape (Lanes.tape) holds lane values in consecutive slots.
 Lanes.spread copies a lane value into every slot by shifted copies, and
-with K and H repeated per slot (Lanes.carry), ((spread & tape) + K) & H
-!= H tests every slot at once; Lanes.clear decodes the clear guard
-bits, lowest slot first.  TripleScan keeps, for every row j but the
-last, block j: seconds[j] & thirds[l] in slot l - j - 1 for each l > j.
-The blocks take about comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
+with K and H repeated per slot (Lanes.carry), the guard bits of
+((spread & tape) + K) & H test every slot at once: slot s misses a
+pattern iff one of its guard bits is clear.  TripleScan keeps, for
+every row j but the last, block j: seconds[j] & thirds[l] in slot
+l - j - 1 for each l > j, so one test of row x's spread as a first row
+against block j covers every triple (x, j, l).  Its row walk spreads x
+once and yields, block by block, the rows l of the clear slots; the
+forward scan walks each row i over the blocks j > i, and the rescan
+below walks a new row over the blocks it needs.  The blocks take about
+comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
 
 GEKR and {011, 101, 110} are each closed under permuting the three
 places, so whether a triple misses a pattern of either set does not
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import GEKR, ArrayMatrix, DeficiencyReport, Pattern, PatternSet
 
@@ -122,13 +127,11 @@ class Lanes:
             )
         return found
 
-    def carry(self, count: int) -> tuple[int, int, int]:
-        """(feet, K, H) for count slots, each built once: value * feet
-        holds value in every slot, and K and H repeat once per slot.
-        value * feet costs more than spread past a few machine words."""
+    def carry(self, count: int) -> tuple[int, int]:
+        """(K, H) repeated once per slot for count slots, each built once."""
         found = self._carry.get(count)
         if found is None:
-            found = self._carry[count] = tuple(self.spread(v, count) for v in (1, self._k, self._h))
+            found = self._carry[count] = (self.spread(self._k, count), self.spread(self._h, count))
         return found
 
     def spread(self, value: int, count: int) -> int:
@@ -145,25 +148,18 @@ class Lanes:
         values = [*values, *[self._k] * (count - len(values))]
         return sum(v << s * self.slot for s, v in enumerate(values))
 
-    def clear(self, value: int, tape: int, count: int, base: int = 0) -> Iterator[int]:
-        """base + s for each slot s < count of tape whose lane value,
-        ANDed with value, misses a pattern; slots past count are ignored."""
-        feet, k, h = self.carry(_padded(count))
-        guards = (value * feet & tape) + k & h
-        return _set_slots(h ^ guards, self.slot, base, base + count)
-
 
 def scan_bytes(m: int, n: int, patterns: PatternSet = GEKR) -> int:
     """Bytes that a TripleScan of m rows over n columns takes: blocks 0
     to m - 2, K and H for every padded length, and the tape of thirds,
-    with 30 bits in 4 bytes as CPython keeps them.  ValueError if they
-    pass MAX_BLOCK_BYTES.  Fewer than three rows hold no triple and
-    keep no blocks."""
+    m + PAD slots, with 30 bits in 4 bytes as CPython keeps them.
+    ValueError if they pass MAX_BLOCK_BYTES.  Fewer than three rows hold
+    no triple and keep no blocks."""
     c = m - 1 if m > 2 else 0
     top = _padded(c)  # slots of block 0, the longest
     # The slots of blocks 0 to m - 2, sum(map(_padded, range(1, m))), in closed form.
     a, b = divmod(c, PAD)
-    slots = PAD * (PAD * a * (a + 1) // 2 + b * (a + 1)) + top * (top // PAD + 1) + m
+    slots = PAD * (PAD * a * (a + 1) // 2 + b * (a + 1)) + top * (top // PAD + 1) + m + PAD
     if (need := slots * len(patterns) * (n + 1) // 30 * 4) > MAX_BLOCK_BYTES:
         raise ValueError(f"{m} rows need {need} bytes, past the limit of {MAX_BLOCK_BYTES}")
     return need
@@ -210,22 +206,24 @@ class TripleScan:
     searches, with the blocks of the module docstring kept; ValueError
     if they would pass MAX_BLOCK_BYTES.
 
-    scan is the lexicographic forward loop.  first and replace make it
-    incremental for a resampling loop such as Moser-Tardos.  They keep a
-    cursor, the first triple not yet known to be clean, and found, the
-    deficient triples before it; every other triple before the cursor is
-    clean.  first returns min(found), or runs scan from the cursor until
-    it meets a deficient triple.  replace patches the blocks, drops the
-    found triples that hold a replaced row and tests again every triple
-    before the cursor that holds one: one spread of the row, tested
-    against each block, as the module docstring sets out.  That needs a
-    pattern set closed under permuting the places, and replace raises
-    ValueError for any other.  Either way the answer is the
-    lexicographically first deficient triple of the current rows, as
-    first_deficient_triple would give, and only the first full pass
-    costs comb(m, 3) tests.  checked counts the triples tested: those
-    before the cursor, plus, for each replaced row, those before the
-    cursor that hold it.
+    One row walk, _walk, tests a row as a first row against blocks and
+    yields the thirds that miss a pattern, block by block.  scan walks
+    each row i over the blocks j > i and yields the deficient triples in
+    lexicographic order; the rescan of replace walks a new row over the
+    blocks its triples before the cursor lie in.  first and replace make
+    the scan incremental for a resampling loop such as Moser-Tardos.
+    They keep a cursor, the first triple not yet known to be clean, and
+    found, the deficient triples before it; every other triple before
+    the cursor is clean.  first returns min(found), or the first triple
+    that scan yields from the cursor.  replace patches the blocks, drops
+    the found triples that hold a replaced row and walks each new row, as
+    the module docstring sets out.  That needs a pattern set closed under
+    permuting the places, and replace raises ValueError for any other.
+    Either way the answer is the lexicographically first deficient
+    triple of the current rows, as first_deficient_triple would give,
+    and only the first full pass costs comb(m, 3) tests.  checked counts
+    the triples tested: those before the cursor, plus, for each replaced
+    row, those before the cursor that hold it.
     """
 
     def __init__(self, rows: Sequence[int], n: int, patterns: PatternSet = GEKR) -> None:
@@ -243,47 +241,48 @@ class TripleScan:
 
     def _block(self, j: int) -> tuple[int, int, int]:  # with its K and H
         count = _padded(self.m - 1 - j)
-        _, k, h = self.lanes.carry(count)
         spread = self.lanes.spread(self.seconds[j], count)
-        return spread & self._third_tape >> (j + 1) * self.lanes.slot, k, h
+        return (spread & self._third_tape >> (j + 1) * self.lanes.slot, *self.lanes.carry(count))
+
+    def _walk(self, x: int, js: Iterable[int]) -> Iterator[tuple[int, Iterator[int]]]:
+        """Row x as a first row against block j for each j of js, in
+        turn: (j, the rows l > j, ascending, for which (x, j, l) misses a
+        pattern) for every block with such a row."""
+        m, slot, blocks = self.m, self.lanes.slot, self._blocks
+        spread = self.lanes.spread(self.firsts[x], _padded(m - 1))
+        for j in js:
+            block, k, h = blocks[j]
+            guards = (spread & block) + k & h
+            if guards != h:
+                yield j, _set_slots(h ^ guards, slot, j + 1, m)
 
     def scan(
-        self, start: tuple[int, int, int], stop_early: bool
-    ) -> list[tuple[int, int, int, frozenset[Pattern]]]:
+        self, start: tuple[int, int, int]
+    ) -> Iterator[tuple[int, int, int, frozenset[Pattern]]]:
         """Deficient triples from start (inclusive) on, in lexicographic
-        order.  start need not be an increasing triple: (i, 0, 0) begins
-        at the first triple of row i.  Block 0 is never read."""
-        m, lanes = self.m, self.lanes
-        slot, count = lanes.slot, _padded(m - 2)
-        firsts, seconds, thirds, blocks = self.firsts, self.seconds, self.thirds, self._blocks
-        hits: list[tuple[int, int, int, frozenset[Pattern]]] = []
+        order, each with the patterns it misses.  start need not be an
+        increasing triple: (i, 0, 0) begins at the first triple of row i.
+        Block 0 is never read."""
+        firsts, seconds, thirds, missing = self.firsts, self.seconds, self.thirds, self.lanes.missing
         i_start, j_from, l_from = start
-        for i in range(i_start, m - 2):
-            spread = lanes.spread(firsts[i], count)
-            for j in range(max(j_from, i + 1), m - 1):
-                block, k, h = blocks[j]
-                guards = (spread & block) + k & h
-                if guards != h:
-                    pair = firsts[i] & seconds[j]
-                    for l in _set_slots(h ^ guards, slot, j + 1, m):
-                        if l >= l_from:
-                            hits.append((i, j, l, lanes.missing(pair, thirds[l])))
-                            if stop_early:
-                                return hits
-                l_from = 0
-            j_from = l_from = 0
-        return hits
+        for i in range(i_start, self.m - 2):
+            for j, ls in self._walk(i, range(max(j_from, i + 1), self.m - 1)):
+                pair = firsts[i] & seconds[j]
+                for l in ls:
+                    if j > j_from or l >= l_from:
+                        yield i, j, l, missing(pair, thirds[l])
+            j_from = 0  # below every j from here on
 
     def first(self) -> tuple[int, int, int] | None:
         """Lexicographically first deficient triple of the current rows."""
         if not self.found:
             m, start = self.m, self.cursor
-            hits = self.scan(start, True)
-            self.cursor = (hits[0][0], hits[0][1], hits[0][2] + 1) if hits else (m, 0, 0)
+            hit = next(self.scan(start), None)
+            self.cursor = (hit[0], hit[1], hit[2] + 1) if hit else (m, 0, 0)
             self.checked += _before(m, self.cursor) - _before(m, start)
-            if not hits:
+            if hit is None:
                 return None
-            self.found.add(hits[0][:3])
+            self.found.add(hit[:3])
         return min(self.found)
 
     def replace(self, rows: dict[int, int]) -> None:
@@ -315,20 +314,15 @@ class TripleScan:
         the deficient ones to found, and count them in checked: the
         triples before the cursor less those without r.  A triple holding
         two replaced rows is tested once for each."""
-        m, slot, blocks, found = self.m, self.lanes.slot, self._blocks, self.found
+        m, found = self.m, self.found
         cursor = ci, cj, _ = self.cursor
-        spread = self.lanes.spread(self.firsts[r], _padded(m - 1))
         # min(r, j) <= ci for a triple before the cursor, and j <= cj too
         # when r == ci < j.
         stop = m - 1 if r < ci else cj + 1 if r == ci else 0
-        for j in itertools.chain(range(min(r, ci + 1)), range(r + 1, stop)):
-            block, k, h = blocks[j]
-            guards = (spread & block) + k & h
-            if guards != h:
-                # Slot r - j - 1 of block j < r holds row r itself.
-                for l in _set_slots(h ^ guards, slot, j + 1, m):
-                    if l != r and (triple := tuple(sorted((r, j, l)))) < cursor:
-                        found.add(triple)
+        for j, ls in self._walk(r, itertools.chain(range(min(r, ci + 1)), range(r + 1, stop))):
+            for l in ls:  # block j < r holds row r itself at l == r
+                if l != r and (triple := tuple(sorted((r, j, l)))) < cursor:
+                    found.add(triple)
         self.checked += _before(m, cursor) - _before(m - 1, _without(cursor, r))
 
 
@@ -338,7 +332,7 @@ def find_deficient(array: ArrayMatrix, patterns: PatternSet = GEKR) -> Deficienc
     MAX_BLOCK_BYTES.  TripleScan.first with its checked count gives the
     first deficient triple and its rank instead.
     """
-    hits = TripleScan(array.rows, array.n, patterns).scan((0, 0, 0), False)
+    hits = list(TripleScan(array.rows, array.n, patterns).scan((0, 0, 0)))
     return DeficiencyReport(
         deficient=tuple((i, j, l) for i, j, l, _ in hits),
         missing=tuple(miss for _, _, _, miss in hits),

@@ -8,7 +8,8 @@ import pytest
 #: A column count past float range: 1 followed by 400 zeros.
 HUGE_N = "1" + "0" * 400
 
-from gekr import construct
+from gekr import cli as cli_module
+from gekr import construct, verify
 from gekr.cli import main
 from gekr.core import parse_array
 from gekr.verify import is_gekr
@@ -185,6 +186,25 @@ class TestVerify:
         code, _, err = cli(["verify", str(tmp_path / "absent.txt")])
         assert code == 2
         assert "cannot read" in err
+
+    def test_input_past_block_limit(self, cli, tmp_path, monkeypatch):
+        # Two rows, which the scan would take, after a long comment: one
+        # byte past the limit exits 2, from a path before it is opened
+        # and from stdin; at the limit both are read.
+        text = "# two rows hold no triple" + "." * 60 + "\n1110\n1101\n"
+        assert verify.scan_bytes(2, 4) < len(text)
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        monkeypatch.setattr(verify, "MAX_BLOCK_BYTES", len(text) - 1)
+        with monkeypatch.context() as unopened:
+            unopened.setattr(cli_module, "open", None, raising=False)
+            code, _, err = cli(["verify", str(path)])
+        assert code == 2 and f"limit of {len(text) - 1} bytes" in err
+        code, _, err = cli(["verify", "-"], stdin_text=text)
+        assert code == 2 and f"limit of {len(text) - 1} bytes" in err
+        monkeypatch.setattr(verify, "MAX_BLOCK_BYTES", len(text))
+        assert cli(["verify", str(path)])[:2] == (0, "ok: all 0 triples covered\n")
+        assert cli(["verify", "-"], stdin_text=text)[:2] == (0, "ok: all 0 triples covered\n")
 
     def test_parse_error(self, cli):
         code, _, err = cli(["verify", "-"], stdin_text="110\n1100\n")

@@ -120,10 +120,11 @@ def named(nodes) -> set[str]:
 
 
 def test_every_public_definition_is_named_elsewhere():
-    # A public module-level function or class must be named outside its
-    # own definition: elsewhere in the package, in scripts/, in
-    # perfbench/ or in the paper-reproduction tests.  The re-exports of
-    # __init__ do not count, nor do the tests of the definition itself.
+    # A public module-level function or class, and a public method or
+    # property of a class, must be named outside its own definition:
+    # elsewhere in the package, in scripts/, in perfbench/ or in the
+    # paper-reproduction tests.  The re-exports of __init__ do not count,
+    # nor do the tests of the definition itself.
     outside = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     outside.append(ROOT / "tests" / "test_acceptance.py")
     shared = named(ast.parse(path.read_text()) for path in outside)
@@ -140,4 +141,9 @@ def test_every_public_definition_is_named_elsewhere():
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
                 if top.name not in shared | elsewhere | named(t for t in body if t is not top):
                     unnamed.append(f"{name}:{top.name}")
+            for member in top.body if isinstance(top, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    rest = [t for t in body if t is not top] + [s for s in top.body if s is not member]
+                    if member.name not in shared | elsewhere | named(rest):
+                        unnamed.append(f"{name}:{top.name}.{member.name}")
     assert unnamed == []
