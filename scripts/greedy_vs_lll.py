@@ -4,16 +4,21 @@ probabilistic row floor, for a few fixed-weight parameter pairs.
 
 For each (n, k): compute the exact-sum LLL floor, confirm Moser-Tardos
 builds an array of exactly that many rows, then let the greedy extender
-run and report how far past the floor it gets."""
+run and report how far past the floor it gets.  Where C(n, k) is within
+the exact search's candidate ceiling, the exact maximum family size is
+printed beside them (with a trailing "?" if the search ran out of nodes
+before proving it), and "-" elsewhere."""
 
 from __future__ import annotations
 
 import argparse
 from fractions import Fraction
+from math import comb
 
 from gekr.bounds import floor_rows, nu
 from gekr.construct import ConstructionConfig, Strategy, greedy_extend, moser_tardos
 from gekr.core import ModelParams
+from gekr.exact import MAX_FAMILY_CANDIDATES, max_family
 from gekr.verify import is_gekr
 
 DEFAULT_CASES = ((20, 14), (30, 20), (40, 28))
@@ -36,7 +41,10 @@ def main() -> None:
         else DEFAULT_CASES
     )
 
-    print(f"{'n':>4} {'k':>4} {'lll_floor':>10} {'mt_resamples':>13} {'greedy_rows':>12}")
+    print(
+        f"{'n':>4} {'k':>4} {'lll_floor':>10} {'mt_resamples':>13} {'greedy_rows':>12}"
+        f" {'exact_max':>10}"
+    )
     for n, k in cases:
         params = ModelParams.fixed_weight(n=n, r=k)
         floor = floor_rows(nu(Fraction(k, n), n, mode="exact-sum"))
@@ -49,7 +57,14 @@ def main() -> None:
             params, seed=args.seed, attempts_per_row=args.attempts_per_row
         )
         assert is_gekr(greedy)
-        print(f"{n:>4} {k:>4} {floor:>10} {result.resamples_used:>13} {greedy.m:>12}")
+        exact = "-"
+        if comb(n, k) <= MAX_FAMILY_CANDIDATES:
+            family = max_family(n, k)
+            exact = f"{family.size}{'' if family.optimal else '?'}"
+        print(
+            f"{n:>4} {k:>4} {floor:>10} {result.resamples_used:>13} {greedy.m:>12}"
+            f" {exact:>10}"
+        )
 
 
 if __name__ == "__main__":

@@ -232,6 +232,7 @@ def cmd_maxfamily(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     result = exact.max_family(args.n, args.k, node_limit=args.node_limit)
     print(f"size: {result.size}")
     print(f"optimal: {'true' if result.optimal else 'false'}")
+    print(f"nodes: {result.nodes}", file=sys.stderr)
     matrix = exact.witness_matrix(args.n, result.witness)
     sys.stdout.write(matrix.to_text())
     return 0

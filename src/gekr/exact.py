@@ -1,6 +1,29 @@
 """Small-case ground truth: brute-force enumeration and exhaustive
 search.  Everything here is exponential in n and exists to validate the
 formula-based modules on instances small enough to enumerate.
+
+max_family treats a GEKR family of weight-k rows as a clique of the
+3-uniform hypergraph on the C(n, k) rows whose edges are the triples
+that miss no pattern of core.gekr_patterns:
+
+* The compatibility table is built once: compat[a][b] is a C(n, k)-bit
+  int whose bit c is set iff (a, b, c) is an edge, from one slot test of
+  verify.Lanes per pair.  Edges do not depend on the order of the rows.
+* A node of the search holds the chosen rows S, the candidates C (the
+  rows that make an edge with every pair of S, as a bitset) and, for
+  each candidate u, adj[u], the AND over a in S of compat[a][u].  Adding
+  v leaves the candidates C & adj[v] and the adjacency adj[u] &
+  compat[v][u].  The rows still to add are pairwise adjacent under adj,
+  so a greedy colouring of C bounds how many there can be: the bound of
+  the max-clique searches MCQ and MCS (Tomita et al., 2003 and 2010),
+  kept as bitsets as in BBMC (San Segundo et al., 2011).
+* Row 0, the first weight-k mask, is always chosen.  A column
+  permutation maps any family onto one that holds it, so this is exact.
+* The first pass proves the size: it adds candidates from the highest
+  colour down and stops where |S| plus the colour cannot beat the best
+  family so far.  The second adds candidates in ascending order, with
+  the same bound against the proven size, so the first family it
+  completes is the lexicographically first of that size: the witness.
 """
 
 from __future__ import annotations
@@ -9,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Sequence
 
 from .core import ArrayMatrix, Pattern, PatternSet, gekr_patterns
 from .verify import Lanes
@@ -16,8 +40,20 @@ from .verify import Lanes
 #: Column-count ceiling for the enumeration oracles.
 MAX_ENUM_N = 8
 
-#: Candidate-count ceiling for the exhaustive family search.
-MAX_FAMILY_CANDIDATES = 4096
+#: Most bytes that the compatibility table of max_family may take.
+MAX_TABLE_BYTES = 192 << 20
+
+#: Candidate-count ceiling for max_family: the most candidates whose
+#: table, as _table_bytes counts it, fits in MAX_TABLE_BYTES.
+MAX_FAMILY_CANDIDATES = 1069
+
+
+def _table_bytes(count: int) -> int:
+    """Bytes of a compatibility table on count candidates, counted as
+    count^2 list entries of 8 bytes, each to its own int of count bits:
+    24 bytes and 4 per 30 bits, as CPython keeps them.  This bounds the
+    table, where compat[a][b] and compat[b][a] share one int."""
+    return count * count * (8 + 24 + 4 * -(-count // 30))
 
 
 def _subset_masks(n: int, r: int) -> list[int]:
@@ -63,11 +99,65 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
 @dataclass(frozen=True)
 class MaxFamilyResult:
     """size and a witness family of that size; optimal is False when the
-    search hit its node budget and the size is only a lower bound."""
+    search hit its node budget and the size is only a lower bound.
+    nodes counts the rows the search added, in both passes."""
 
     size: int
     witness: tuple[tuple[int, ...], ...]
     optimal: bool
+    nodes: int
+
+
+class _BudgetSpent(Exception):
+    """max_family's search has added node_limit rows."""
+
+
+def _colour(
+    cands: int, parent: Sequence[int], row: Sequence[int], floor: int = 0
+) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """Greedy colouring of the candidate graph whose adjacency is
+    parent[u] & row[u] for each candidate u, class by class: each class
+    takes, from the highest candidate down, every one not adjacent to a
+    member so far.  A clique takes at most one vertex per colour.
+    Returns (vertex, colour) in the order coloured, so colours ascend,
+    for the colours past floor, and the adjacency of every candidate."""
+    adj: dict[int, int] = {}
+    out, colour = [], 0
+    while cands:
+        colour += 1
+        free = cands
+        while free:
+            v = free.bit_length() - 1
+            bit = 1 << v
+            adj[v] = near = parent[v] & row[v]
+            free &= ~(near | bit)
+            cands ^= bit
+            if colour > floor:
+                out.append((v, colour))
+    return out, adj
+
+
+def _compat_table(lanes: Lanes, masks: list[int]) -> list[list[int]]:
+    """compat[a][b]: bit c set iff rows a, b and c, in any order, miss
+    no pattern of lanes.  One carry test of the pair (a, b) against the
+    tape of every third gives the guard bits of all c; the AND of each
+    slot's guard bits, moved to the slot's bit 0, is then read off every
+    slot-th binary digit."""
+    count, slot, guard = len(masks), lanes.slot, lanes.width - 1
+    first = [lanes.row(mask, 0) for mask in masks]
+    second = [lanes.row(mask, 1) for mask in masks]
+    thirds = lanes.tape([lanes.row(mask) for mask in masks], count)
+    k, h = lanes.carry(count)
+    shifts = [t * lanes.width + guard for t in range(len(lanes.patterns))]
+    compat = [[0] * count for _ in range(count)]
+    for a in range(count):
+        for b in range(a + 1, count):
+            guards = (lanes.spread(first[a] & second[b], count) & thirds) + k & h
+            ok = -1
+            for shift in shifts:
+                ok &= guards >> shift
+            compat[a][b] = compat[b][a] = int(format(ok, "b")[::-slot][::-1], 2)
+    return compat
 
 
 def witness_matrix(n: int, witness: tuple[tuple[int, ...], ...]) -> ArrayMatrix:
@@ -85,70 +175,95 @@ def witness_matrix(n: int, witness: tuple[tuple[int, ...], ...]) -> ArrayMatrix:
 
 def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     """Largest family of weight-k rows over n columns in which every
-    row triple realizes all four GEKR patterns, by depth-first
-    branch and bound over candidates in colexicographic order.
+    row triple realizes all four GEKR patterns, by the clique search of
+    the module docstring.  The witness is the lexicographically first
+    family of that size, with rows numbered in colexicographic order.
+    ValueError past MAX_FAMILY_CANDIDATES candidates, before any table is built.
 
-    At each node the candidate list holds exactly the rows compatible
-    with every pair already chosen, so the bound len(chosen) +
-    len(candidates) is valid and filtering is incremental: extending by
-    row S only needs the new pairs (A, S) re-checked, on the patterns of
-    core.gekr_patterns (no 111 lane when 3k > 2n).  Search order is
-    deterministic, so results are reproducible run to run.
+    Each row added, in either pass, is a node counted against
+    node_limit.  When the budget runs out the search stops and returns
+    the largest family found, with optimal False.
 
     Families of size <= 2 are vacuously valid (no triples), so the
     answer is at least min(2, C(n, k)).
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if comb(n, k) > MAX_FAMILY_CANDIDATES:
+    # C(n, k) >= n for k < n, so a large n is refused before comb, whose
+    # time and memory grow with k, runs.
+    if (n > MAX_FAMILY_CANDIDATES and k < n) or (count := comb(n, k)) > MAX_FAMILY_CANDIDATES:
         raise ValueError(
-            f"C({n}, {k}) = {comb(n, k)} candidates exceed the "
-            f"{MAX_FAMILY_CANDIDATES} search ceiling"
+            f"C({n}, {k}) passes the ceiling of {MAX_FAMILY_CANDIDATES} candidates, "
+            f"whose table takes at most {MAX_TABLE_BYTES} bytes"
         )
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
-    lanes = Lanes(gekr_patterns(n, k), n)
     masks = _subset_masks(n, k)
-    # Lane values of every mask at each place of a triple.
-    first, second, third = ({mask: lanes.row(mask, place) for mask in masks} for place in range(3))
-
-    best_size = min(2, len(masks))
-    best_witness = masks[: best_size]
+    compat = _compat_table(Lanes(gekr_patterns(n, k), n), masks)
+    best = list(range(min(2, count)))
     nodes = 0
-    budget_hit = False
 
-    # levels[t]: (feet, K, H) for the t slots of a tape at depth t, where
-    # feet holds 1 in each slot; built once per depth.
-    levels: list[tuple[int, int, int]] = []
-
-    def dfs(chosen: list[int], candidates: list[int]) -> None:
-        nonlocal best_size, best_witness, nodes, budget_hit
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_witness = list(chosen)
-        if len(levels) == len(chosen):
-            levels.append((lanes.spread(1, len(chosen)), *lanes.carry(len(chosen))))
-        feet, k, h = levels[len(chosen)]
-        for pos, cand in enumerate(candidates):
-            if len(chosen) + len(candidates) - pos <= best_size:
-                return  # even taking every remaining candidate cannot win
+    def grow(chosen: list[int], cands: int, parent: Sequence[int], row: Sequence[int]) -> None:
+        """Add each candidate v in turn, from the highest colour down,
+        while chosen plus v's colour can beat best.  parent and row give
+        the candidate graph as in _colour."""
+        nonlocal best, nodes
+        if len(chosen) > len(best):
+            best = list(chosen)
+        order, adj = _colour(cands, parent, row, len(best) - len(chosen))
+        for v, colour in reversed(order):
+            if len(chosen) + colour <= len(best):
+                return
             nodes += 1
             if nodes > node_limit:
-                budget_hit = True
-                return
-            # One tape of the new pairs (prev, cand): a candidate stays
-            # if no pair leaves it a pattern short.
-            pairs = lanes.tape([first[prev] & second[cand] for prev in chosen], len(chosen))
-            narrowed = [c for c in candidates[pos + 1 :] if (third[c] * feet & pairs) + k & h == h]
-            chosen.append(cand)
-            dfs(chosen, narrowed)
+                raise _BudgetSpent
+            chosen.append(v)
+            grow(chosen, cands & adj[v], adj, compat[v])
             chosen.pop()
-            if budget_hit:
-                return
+            cands ^= 1 << v
 
-    dfs([], masks)
+    def first(chosen: list[int], cands: int, parent: Sequence[int], row: Sequence[int]) -> bool:
+        """Add candidates in ascending order up to the proven size; True
+        once the first family of that size is in chosen."""
+        nonlocal nodes
+        order, adj = _colour(cands, parent, row)
+        # reach[v]: the colours among the candidates from v up.  Classes
+        # fill from the highest candidate down, so that is the most
+        # colour any of them has, and a bound on what a family takes.
+        reach, top = {}, 0
+        for v, colour in sorted(order, reverse=True):
+            reach[v] = top = max(top, colour)
+        for v in sorted(reach):
+            if len(chosen) + reach[v] < size:
+                return False
+            nodes += 1
+            if nodes > node_limit:
+                raise _BudgetSpent
+            chosen.append(v)
+            if len(chosen) == size or first(chosen, cands & adj[v] & -(2 << v), adj, compat[v]):
+                return True
+            chosen.pop()
+        return False
 
-    witness = tuple(
-        tuple(j for j in range(n) if (mask >> j) & 1) for mask in best_witness
+    # Column symmetry maps any family onto one that holds row 0, and the
+    # first family of a size holds row 0 as well.  Any row may follow
+    # row 0, and any two may follow it together if compat[0] allows.
+    root = ((1 << count) - 2, [-1] * count, compat[0])
+    try:
+        grow([0], *root)
+        if (size := len(best)) > 2:
+            witness = [0]
+            first(witness, *root)
+            best = witness
+        optimal = True
+    except _BudgetSpent:
+        optimal = False
+    # grow and first hold themselves through their closures; deleting
+    # them frees the table now rather than at a full garbage collection.
+    del grow, first
+    return MaxFamilyResult(
+        size=len(best),
+        witness=tuple(tuple(j for j in range(n) if (masks[i] >> j) & 1) for i in best),
+        optimal=optimal,
+        nodes=nodes,
     )
-    return MaxFamilyResult(size=best_size, witness=witness, optimal=not budget_hit)

@@ -9,7 +9,7 @@ import pytest
 HUGE_N = "1" + "0" * 400
 
 from gekr import cli as cli_module
-from gekr import construct, verify
+from gekr import construct, exact, verify
 from gekr.cli import main
 from gekr.core import parse_array
 from gekr.verify import is_gekr
@@ -340,8 +340,9 @@ class TestFigure:
 
 class TestMaxFamily:
     def test_three_choose_two(self, cli):
-        code, out, _ = cli(["maxfamily", "--n", "3", "--k", "2"])
+        code, out, err = cli(["maxfamily", "--n", "3", "--k", "2"])
         assert code == 0
+        assert err == "nodes: 0\n"
         lines = out.splitlines()
         assert lines[0] == "size: 2"
         assert lines[1] == "optimal: true"
@@ -350,13 +351,18 @@ class TestMaxFamily:
         assert witness.declared_weight == 2
 
     def test_witness_verifies(self, cli):
-        code, out, _ = cli(["maxfamily", "--n", "6", "--k", "3"])
+        code, out, err = cli(["maxfamily", "--n", "6", "--k", "3"])
         assert code == 0
         witness = parse_array("\n".join(out.splitlines()[2:]) + "\n")
         assert is_gekr(witness)
+        assert int(err.removeprefix("nodes: ")) == exact.max_family(6, 3).nodes > 0
 
     def test_overflow_guard(self, cli):
         assert cli(["maxfamily", "--n", "16", "--k", "8"])[0] == 2
+        past = str(exact.MAX_FAMILY_CANDIDATES + 1)
+        code, out, err = cli(["maxfamily", "--n", past, "--k", "1"])
+        assert (code, out) == (2, "")
+        assert "ceiling" in err
 
 
 def test_no_command_is_usage_error(cli):

@@ -1,16 +1,21 @@
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from gekr import exact
 from gekr.bounds import sigma1, sigma2
-from gekr.core import GEKR, gekr_patterns
+from gekr.core import GEKR, ArrayMatrix, gekr_patterns
 from gekr.exact import (
     MAX_ENUM_N,
+    MAX_FAMILY_CANDIDATES,
+    MAX_TABLE_BYTES,
     enumerate_missing_prob,
     max_family,
     witness_matrix,
 )
-from gekr.verify import is_gekr
+from gekr.verify import Lanes, find_deficient_naive, is_gekr
 
 
 class TestEnumerateMissingProb:
@@ -105,6 +110,52 @@ class TestMaxFamily:
         with pytest.raises(ValueError):
             max_family(16, 8)
 
+    def test_ceiling_from_table_bytes(self, monkeypatch):
+        # The ceiling is the most candidates whose table fits the budget,
+        # and one candidate past it is refused before any table is built.
+        assert exact._table_bytes(MAX_FAMILY_CANDIDATES) <= MAX_TABLE_BYTES
+        assert exact._table_bytes(MAX_FAMILY_CANDIDATES + 1) > MAX_TABLE_BYTES
+        past = MAX_FAMILY_CANDIDATES + 1
+        assert max_family(past, past).size == 1  # C(n, n) = 1 at any n
+
+        def unexpected(*args):
+            raise AssertionError("work done past the ceiling")
+
+        monkeypatch.setattr(exact, "_compat_table", unexpected)
+        for n, k in [(past, 1), (47, 2)]:  # C(47, 2) = 1081
+            with pytest.raises(ValueError, match="ceiling"):
+                max_family(n, k)
+        # comb(10^300, 10^4) alone takes seconds; a large n is refused
+        # before it runs.
+        monkeypatch.setattr(exact, "comb", unexpected)
+        with pytest.raises(ValueError, match="ceiling"):
+            max_family(10**300, 10**4)
+
+    def test_nine_six_proven(self):
+        result = max_family(9, 6)
+        assert (result.size, result.optimal) == (9, True)
+        assert not find_deficient_naive(witness_matrix(9, result.witness)).deficient
+
+    def test_budget_keeps_best_family(self):
+        # (11, 8) is far from proven in 20,000 nodes, but the colour
+        # order reaches a family of 13 rows or more well within them.
+        start = time.perf_counter()
+        result = max_family(11, 8, node_limit=20_000)
+        assert time.perf_counter() - start < 10
+        assert not result.optimal
+        assert result.nodes == 20_001
+        assert result.size >= 13
+        matrix = witness_matrix(11, result.witness)
+        assert (matrix.m, matrix.declared_weight) == (result.size, 8)
+        assert not find_deficient_naive(matrix).deficient
+
+    def test_nodes_counted(self):
+        assert max_family(3, 2).nodes == 0
+        small, large = max_family(7, 4), max_family(8, 5)
+        assert 0 < small.nodes < large.nodes
+        assert max_family(7, 4, node_limit=small.nodes).optimal
+        assert not max_family(7, 4, node_limit=small.nodes - 1).optimal
+
     def test_domain(self):
         with pytest.raises(ValueError):
             max_family(5, 0)
@@ -131,3 +182,23 @@ def test_max_family_golden_witness(n, k):
         (0, 2, 3, 4),
         (1, 2, 3, 4),
     )
+
+
+# (6,3) and (7,4) test four lanes; at (9,7), 3k > 2n drops the 111 lane.
+@pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (9, 7)])
+def test_compat_table_oracle(n, k):
+    lanes = Lanes(gekr_patterns(n, k), n)
+    assert len(lanes.patterns) == (3 if 3 * k > 2 * n else 4)
+    masks = exact._subset_masks(n, k)
+    compat = exact._compat_table(lanes, masks)
+    count = len(masks)
+    for a in range(count):
+        for b in range(count):
+            assert compat[a][b] == compat[b][a]
+            assert not compat[a][b] >> a & 1 and not compat[a][b] >> b & 1
+            pair = lanes.pair(masks[a], masks[b])
+            for c in range(count):
+                assert (compat[a][b] >> c & 1) == (not lanes.deficient(pair, lanes.row(masks[c])))
+    for a, b, c in combinations(range(count), 3):
+        matrix = ArrayMatrix(n=n, rows=(masks[a], masks[b], masks[c]))
+        assert (compat[a][b] >> c & 1) == (not find_deficient_naive(matrix).deficient)

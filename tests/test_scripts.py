@@ -27,12 +27,18 @@ def run_script(name: str, *args: str) -> str:
 
 
 def test_greedy_vs_lll():
-    out = run_script("greedy_vs_lll.py", "--case", "20,14", "--attempts-per-row", "50")
-    header, row = out.splitlines()
-    assert header.split() == ["n", "k", "lll_floor", "mt_resamples", "greedy_rows"]
-    n, k, floor, _, greedy_rows = map(int, row.split())
-    assert (n, k) == (20, 14)
+    out = run_script(
+        "greedy_vs_lll.py", "--case", "20,14", "--case", "9,6", "--attempts-per-row", "50"
+    )
+    header, large, small = out.splitlines()
+    assert header.split() == ["n", "k", "lll_floor", "mt_resamples", "greedy_rows", "exact_max"]
+    *values, exact_max = large.split()
+    n, k, floor, _, greedy_rows = map(int, values)
+    assert (n, k, exact_max) == (20, 14, "-")  # C(20, 14) is past the candidate ceiling
     assert greedy_rows >= floor
+    n, k, floor, _, greedy_rows, exact_max = map(int, small.split())
+    assert (n, k, exact_max) == (9, 6, 9)
+    assert floor <= greedy_rows <= exact_max
 
 
 def test_reproduce_tables_independent():
