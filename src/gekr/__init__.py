@@ -10,8 +10,6 @@ from .bounds import (
     nu,
     p_fixed_exact,
     p_independent,
-    phi_term,
-    psi_term,
     sigma1,
     sigma2,
     zeta,
@@ -80,8 +78,6 @@ __all__ = [
     "pack_row",
     "parse_alpha",
     "parse_array",
-    "phi_term",
-    "psi_term",
     "rejection",
     "render_magnitude",
     "sample_rows",

@@ -110,58 +110,47 @@ def floor_rows(bound: LogMagnitude) -> int:
 # Fixed-weight model, exact rational sums
 
 
-def phi_term(n: int, r: int, u: int) -> Fraction:
-    """Probability weight that rows B, C (uniform weight-r subsets) meet
-    a fixed weight-r row A in exactly u common columns while A, B, C
-    have no column common to all three:
-
-        phi(u) = C(r,u) C(n-r,r-u) C(n-u,r) / C(n,r)^2
-
-    Admissible u runs from max(0, 2r-n) to min(r, n-r); outside that
-    range the configuration is impossible and u is rejected.
-    """
-    lo, hi = max(0, 2 * r - n), min(r, n - r)
-    if not lo <= u <= hi:
-        raise ValueError(f"u={u} outside admissible range [{lo}, {hi}]")
-    denom = comb(n, r) ** 2
-    return Fraction(comb(r, u) * comb(n - r, r - u) * comb(n - u, r), denom)
-
-
-def psi_term(n: int, r: int, u: int) -> Fraction:
-    """Probability weight that row B meets row A in u columns while no
-    column shows 1 in A and B but 0 in C:
-
-        psi(u) = C(r,u) C(n-r,r-u) C(n-u,n-r) / C(n,r)^2
-
-    Admissible u runs from max(0, 2r-n) to r.
-    """
-    lo, hi = max(0, 2 * r - n), r
-    if not lo <= u <= hi:
-        raise ValueError(f"u={u} outside admissible range [{lo}, {hi}]")
-    denom = comb(n, r) ** 2
-    return Fraction(comb(r, u) * comb(n - r, r - u) * comb(n - u, n - r), denom)
+def _overlaps(n: int, r: int) -> tuple[int, int]:
+    """Admissible overlaps u = |A & B| of two weight-r rows A, B: from
+    max(0, 2r-n) up to r in sigma2, and up to min(r, n-r) in sigma1,
+    whose third row must fit in the n - u columns outside A & B."""
+    return max(0, 2 * r - n), min(r, n - r)
 
 
 def sigma1(n: int, r: int) -> Fraction:
-    """Exact probability that three uniform weight-r rows share no
-    common 1-column: the sum of phi_term over its admissible range.
-    Empty range (r > n - r and 2r - n > n - r, i.e. r > 2n/3) gives 0:
-    rows that big always intersect pairwise in more than half their
-    columns, forcing a triple intersection.
+    """Exact probability that three uniform weight-r rows A, B, C share
+    no common 1-column.  Given a fixed A, B meets it in exactly u
+    columns and C avoids those u columns with weight
+
+        phi(u) = C(r,u) C(n-r,r-u) C(n-u,r) / C(n,r)^2
+
+    summed over u from max(0, 2r-n) to min(r, n-r) as one integer over
+    C(n,r)^2.  Empty range (r > 2n/3) gives 0: rows that big always
+    intersect pairwise in more than half their columns, forcing a
+    triple intersection.
     """
-    lo, hi = max(0, 2 * r - n), min(r, n - r)
-    return sum(
-        (phi_term(n, r, u) for u in range(lo, hi + 1)), start=Fraction(0)
+    lo, hi = _overlaps(n, r)
+    total = sum(
+        comb(r, u) * comb(n - r, r - u) * comb(n - u, r) for u in range(lo, hi + 1)
     )
+    return Fraction(total, comb(n, r) ** 2)
 
 
 def sigma2(n: int, r: int) -> Fraction:
     """Exact probability that no column reads (1, 1, 0) across three
-    uniform weight-r rows: the sum of psi_term over its range."""
-    lo, hi = max(0, 2 * r - n), r
-    return sum(
-        (psi_term(n, r, u) for u in range(lo, hi + 1)), start=Fraction(0)
+    uniform weight-r rows A, B, C.  B meets A in exactly u columns and
+    C holds all u of them, its n - r zeros lying in the other n - u
+    columns, with weight
+
+        psi(u) = C(r,u) C(n-r,r-u) C(n-u,n-r) / C(n,r)^2
+
+    summed over u from max(0, 2r-n) to r as one integer over C(n,r)^2.
+    """
+    lo, _ = _overlaps(n, r)
+    total = sum(
+        comb(r, u) * comb(n - r, r - u) * comb(n - u, n - r) for u in range(lo, r + 1)
     )
+    return Fraction(total, comb(n, r) ** 2)
 
 
 def p_fixed_exact(n: int, r: int) -> Fraction:
@@ -201,8 +190,8 @@ def p_fixed_log10(n: int, r: int) -> LogMagnitude:
     def psi(u):
         return (shared(u) + ln_comb(n - u, n - r) + math.log(3.0)) / _LN10
 
-    lo = max(0, 2 * r - n)
-    terms = _near_peak(phi, lo, min(r, n - r)) + _near_peak(psi, lo, r)
+    lo, hi = _overlaps(n, r)
+    terms = _near_peak(phi, lo, hi) + _near_peak(psi, lo, r)
     return LogMagnitude.from_log10(_log10_sum(terms))
 
 
@@ -362,8 +351,7 @@ def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitud
         log10_m = -0.25 * math.log10(n) - 0.5 * n * math.log10(profile.mu)
         return LogMagnitude.from_log10(log10_m)
     if mode == "exact-sum":
-        frac = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-        r_exact = frac * n
+        r_exact = Fraction(alpha) * n
         if r_exact.denominator != 1:
             raise ValueError(
                 f"alpha={alpha} times n={n} is not an integer row weight"

@@ -137,9 +137,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         return 2
     try:
         array = parse_array(text)
-        patterns = (
-            PatternSet.from_text(args.patterns) if args.patterns else GEKR
-        )
+        patterns = GEKR if args.patterns is None else PatternSet.from_text(args.patterns)
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -99,8 +99,9 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
 @dataclass(frozen=True)
 class MaxFamilyResult:
     """size and a witness family of that size; optimal is False when the
-    search hit its node budget and the size is only a lower bound.
-    nodes counts the rows the search added, in both passes."""
+    search hit its node budget before proving the size, which is then
+    only a lower bound.  nodes counts the rows the search added, in both
+    passes; it passes node_limit when the budget ran out."""
 
     size: int
     witness: tuple[tuple[int, ...], ...]
@@ -181,8 +182,12 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     ValueError past MAX_FAMILY_CANDIDATES candidates, before any table is built.
 
     Each row added, in either pass, is a node counted against
-    node_limit.  When the budget runs out the search stops and returns
-    the largest family found, with optimal False.
+    node_limit.  When the budget runs out in the first pass, which
+    proves the size, the search stops and returns the largest family
+    found, with optimal False.  When it runs out in the second pass,
+    which looks for the lexicographically first family, the size is
+    proven and optimal is True, but the witness is the first pass's
+    family: valid and of that size, but not necessarily the first.
 
     Families of size <= 2 are vacuously valid (no triples), so the
     answer is at least min(2, C(n, k)).
@@ -249,15 +254,16 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     # first family of a size holds row 0 as well.  Any row may follow
     # row 0, and any two may follow it together if compat[0] allows.
     root = ((1 << count) - 2, [-1] * count, compat[0])
+    optimal = False
     try:
         grow([0], *root)
+        optimal = True
         if (size := len(best)) > 2:
             witness = [0]
             first(witness, *root)
             best = witness
-        optimal = True
     except _BudgetSpent:
-        optimal = False
+        pass
     # grow and first hold themselves through their closures; deleting
     # them frees the table now rather than at a full garbage collection.
     del grow, first

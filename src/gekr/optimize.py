@@ -52,7 +52,6 @@ def _refine(
     values: list[float],
     lo_clip: float,
     hi_clip: float,
-    tol: float,
 ) -> float:
     """Argmin of f over the grid, whose values f(x) are given, then
     golden-section on the bracketing neighbours."""
@@ -60,10 +59,10 @@ def _refine(
     lo = grid[k - 1] if k > 0 else max(lo_clip, grid[0] - (grid[1] - grid[0]))
     hi = grid[k + 1] if k + 1 < len(grid) else hi_clip
     lo, hi = max(lo, lo_clip), min(hi, hi_clip)
-    return golden_section(f, lo, hi, tol=tol)
+    return golden_section(f, lo, hi)
 
 
-def argmin_independent(n: int, tol: float = 1e-6) -> tuple[float, LogMagnitude]:
+def argmin_independent(n: int) -> tuple[float, LogMagnitude]:
     """Density minimizing the independent-model deficiency probability
     at the given column count, with the probability at the optimum.
     The minimizer tends to 2/3 as n grows.
@@ -75,11 +74,11 @@ def argmin_independent(n: int, tol: float = 1e-6) -> tuple[float, LogMagnitude]:
         return p_independent(alpha, n).log10
 
     grid = _grid(0.001, 0.999, 0.001)
-    alpha_star = _refine(objective, grid, [objective(x) for x in grid], 1e-9, 1.0 - 1e-9, tol)
+    alpha_star = _refine(objective, grid, [objective(x) for x in grid], 1e-9, 1.0 - 1e-9)
     return alpha_star, p_independent(alpha_star, n)
 
 
-def argmin_mu(tol: float = 1e-6, grid_step: float = 1e-4) -> tuple[float, float]:
+def argmin_mu(grid_step: float = 1e-4) -> tuple[float, float]:
     """Density minimizing the fixed-weight decay base mu, with the
     minimal mu.  Scans the branch where the pairwise sum dominates
     (alpha > 1/2) on a grid_step grid and checks the other branch's
@@ -97,9 +96,9 @@ def argmin_mu(tol: float = 1e-6, grid_step: float = 1e-4) -> tuple[float, float]
     theta_vals = [mu_of(x) for x in theta_grid]
     xi_vals = [mu_of(x) for x in xi_grid]
     if min(theta_vals) <= min(xi_vals):
-        alpha_star = _refine(mu_of, theta_grid, theta_vals, 0.5 + 1e-9, 1.0, tol)
+        alpha_star = _refine(mu_of, theta_grid, theta_vals, 0.5 + 1e-9, 1.0)
     else:
-        alpha_star = _refine(mu_of, xi_grid, xi_vals, 1e-9, 0.5, tol)
+        alpha_star = _refine(mu_of, xi_grid, xi_vals, 1e-9, 0.5)
     return alpha_star, mu_of(alpha_star)
 
 

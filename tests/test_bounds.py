@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -113,18 +114,27 @@ class TestZeta:
         assert bounds.zeta(alpha, n + dn).log10 > bounds.zeta(alpha, n).log10
 
 
+def per_term_sigmas(n: int, r: int) -> tuple[Fraction, Fraction]:
+    """sigma1 and sigma2 as sums of one reduced Fraction per term phi(u)
+    and psi(u).  u runs over all of 0..r: comb is 0 wherever a term is
+    not admissible, so this also checks the range the sums keep to."""
+    denom = comb(n, r) ** 2
+    phi = psi = Fraction(0)
+    for u in range(r + 1):
+        pair = comb(r, u) * comb(n - r, r - u)
+        phi += Fraction(pair * comb(n - u, r), denom)
+        psi += Fraction(pair * comb(n - u, n - r), denom)
+    return phi, psi
+
+
 class TestFixedWeightExact:
-    def test_phi_term_example(self):
-        assert bounds.phi_term(6, 3, 1) == Fraction(9, 40)
+    def test_sigmas_match_per_term_sums(self):
+        for n in range(1, 61):
+            for r in range(1, n + 1):
+                assert (bounds.sigma1(n, r), bounds.sigma2(n, r)) == per_term_sigmas(n, r), (n, r)
 
-    def test_phi_term_range_errors(self):
-        with pytest.raises(ValueError):
-            bounds.phi_term(6, 3, 4)
-        with pytest.raises(ValueError):
-            bounds.phi_term(10, 7, 3)  # below 2r - n = 4
-
-    def test_psi_term_full_weight(self):
-        assert bounds.psi_term(5, 5, 5) == Fraction(1)
+    def test_sigma2_full_weight(self):
+        assert bounds.sigma2(5, 5) == Fraction(1)
 
     def test_sigma_values(self):
         assert bounds.sigma1(6, 3) == Fraction(147, 400)

@@ -173,6 +173,13 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_empty_patterns(self, cli):
+        # An empty list is malformed, not a request for the GEKR default,
+        # which these rows would fail with exit 1.
+        code, out, err = cli(["verify", "-", "--patterns", ""], stdin_text="111\n111\n111\n")
+        assert (code, out) == (2, "")
+        assert "parse error" in err
+
     def test_workers_flag(self, cli):
         code, _, _ = cli(["verify", "-", "--workers", "2"], stdin_text="1110\n1101\n1011\n")
         assert code == 0

@@ -147,3 +147,23 @@ def test_every_public_definition_is_named_elsewhere():
                     if member.name not in shared | elsewhere | named(rest):
                         unnamed.append(f"{name}:{top.name}.{member.name}")
     assert unnamed == []
+
+
+def test_all_lists_exactly_the_package_imports():
+    # A name deleted from one list but not the other breaks
+    # `from gekr import *` or leaves an import nothing exports.
+    import gekr
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module != "__future__"
+    ]
+    assert len(imported) > 30, "wrong source file"
+    assert sorted(gekr.__all__) == sorted(imported)
+    namespace: dict = {}
+    exec("from gekr import *", namespace)
+    assert set(gekr.__all__) <= namespace.keys()

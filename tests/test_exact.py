@@ -154,7 +154,19 @@ class TestMaxFamily:
         small, large = max_family(7, 4), max_family(8, 5)
         assert 0 < small.nodes < large.nodes
         assert max_family(7, 4, node_limit=small.nodes).optimal
-        assert not max_family(7, 4, node_limit=small.nodes - 1).optimal
+        # At (7, 4) the first pass, which proves the size, ends at node 12
+        # of 16: a size is optimal once that pass ends.
+        assert not max_family(7, 4, node_limit=11).optimal
+        assert max_family(7, 4, node_limit=12).optimal
+
+    def test_budget_spent_after_proof(self):
+        # At (8, 5) the first pass ends at node 170 and both at node 287.
+        # The witness is then the first pass's family: valid, full size.
+        result = max_family(8, 5, node_limit=200)
+        assert (result.size, result.optimal, result.nodes) == (8, True, 201)
+        matrix = witness_matrix(8, result.witness)
+        assert (matrix.m, matrix.declared_weight) == (8, 5)
+        assert not find_deficient_naive(matrix).deficient
 
     def test_domain(self):
         with pytest.raises(ValueError):
