@@ -50,20 +50,28 @@ def _parse_ns(text: str) -> list[int]:
     return [_parse_n(tok) for tok in _split_tokens(text)]
 
 
+def _check_density(parser: argparse.ArgumentParser, alpha: Fraction, text: str) -> None:
+    """Refuse a density outside (0, 1], or one that the float formulas
+    would read as 0 (such as 1e-400)."""
+    if not 0 < alpha <= 1:
+        parser.error(f"density must be in (0, 1], got {text}")
+    if float(alpha) == 0.0:
+        parser.error(f"density {text} underflows a float (smallest positive 5e-324)")
+
+
 def _resolve_alpha(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Fraction:
-    """Density from --alpha or --k/--n, validated to (0, 1]."""
+    """Density from --alpha or --k/--n, validated by _check_density."""
     if args.alpha is not None and getattr(args, "k", None) is not None:
         parser.error("give either --alpha or --k, not both")
     if args.alpha is not None:
-        alpha = parse_alpha(args.alpha)
+        alpha, text = parse_alpha(args.alpha), args.alpha
     elif getattr(args, "k", None) is not None:
-        alpha = Fraction(args.k, args.n)
+        alpha, text = Fraction(args.k, args.n), f"{args.k}/{args.n}"
     else:
         parser.error("one of --alpha or --k is required")
-    if not 0 < alpha <= 1:
-        parser.error(f"density must be in (0, 1], got {alpha}")
+    _check_density(parser, alpha, text)
     return alpha
 
 
@@ -103,8 +111,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     grid = []
     for tok in alpha_tokens:
         alpha = parse_alpha(tok)
-        if not 0 < alpha <= 1:
-            parser.error(f"density must be in (0, 1], got {tok!r}")
+        _check_density(parser, alpha, tok)
         grid.append((tok, alpha))
 
     print("alpha,n,log10_m,rendered")

@@ -27,8 +27,7 @@ import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ArrayMatrix, Model, ModelParams, PatternSet, gekr_patterns
 from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
@@ -40,6 +39,9 @@ PROGRESS_EVERY = 10_000
 CHUNK = 64
 
 log = logging.getLogger("gekr")
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Strategy(Enum):
@@ -89,12 +91,18 @@ class ConstructionResult:
 
 
 def _row_rng(seed: int, row_index: int, epoch: int) -> np.random.Generator:
+    # numpy is imported here and in _sample_row, on the first row drawn,
+    # so that the bounds, the scans and the CLI start without it.
+    import numpy as np
+
     ss = np.random.SeedSequence(seed, spawn_key=(row_index, epoch))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
     """One packed row from the model distribution."""
+    import numpy as np
+
     n = params.n
     if params.model is Model.FIXED_WEIGHT:
         # Partial Fisher-Yates on idx = range(n): after r swaps the prefix

@@ -41,8 +41,11 @@ def golden_section(
 
 
 def _grid(a: float, b: float, step: float) -> list[float]:
-    """Inclusive float grid without cumulative drift."""
-    count = int(round((b - a) / step))
+    """Float grid a, a + step, ... without cumulative drift, ending at b
+    when step divides b - a and otherwise at the last point below b.
+    The tolerance keeps b when (b - a) / step falls just short of a whole
+    number by rounding."""
+    count = math.floor((b - a) / step + 1e-9)
     return [round(a + k * step, 12) for k in range(count + 1)]
 
 

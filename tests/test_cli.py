@@ -86,6 +86,16 @@ class TestBound:
             assert (code, out) == (2, "")
             assert "column count" in err and "Traceback" not in err
 
+    def test_underflowing_density(self, cli):
+        # 1e-400 is in (0, 1] as a fraction but 0.0 as a float.
+        for argv in (
+            ["bound", "--model", "independent", "--alpha", "1e-400", "--n", "10"],
+            ["table", "--model", "fixed-asymptotic", "--alphas", "0.5,1e-400", "--ns", "10"],
+        ):
+            code, out, err = cli(argv)
+            assert (code, out) == (2, "")
+            assert "density 1e-400 underflows a float" in err
+
     def test_huge_n(self, cli):
         # Every term of the independent sum rounds to the largest here.
         code, out, _ = cli(["bound", "--model", "independent", "--alpha", "0.5", "--n", "1e300"])
@@ -338,6 +348,12 @@ class TestFigure:
             code, out, _ = cli(["figure", fig, "--grid-step", "0.05"])
             assert code == 0
             assert len(out.strip().splitlines()) > 1
+
+    def test_steps_that_do_not_divide(self, cli):
+        for fig in "23":
+            code, out, _ = cli(["figure", fig, "--grid-step", "0.06"])
+            assert code == 0
+            assert out.strip().splitlines()[-1].startswith("0.96,")
 
     def test_bad_args(self, cli):
         assert cli(["figure", "5"])[0] == 2

@@ -1,5 +1,6 @@
-"""The package needs only the standard library and numpy, and the test
-extra lists only what the tests import."""
+"""The package needs only the standard library and numpy, numpy loads
+only when a row is first drawn, and the test extra lists only what the
+tests import."""
 
 import ast
 import os
@@ -27,17 +28,47 @@ def imported_modules(paths) -> list[tuple[str, str]]:
     return seen
 
 
-def test_cli_import_loads_no_scipy():
+#: Run in a fresh interpreter: print which of numpy and scipy are loaded
+#: after each stage, from `import gekr` to the first row drawn.
+LAZY_PROBE = """
+import contextlib, io, sys
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+import gekr
+print("import gekr", loaded())
+import gekr.cli
+print("import gekr.cli", loaded())
+sys.stdin = io.StringIO("011\\n101\\n110\\n111\\n")
+for argv in (
+    ["bound", "--model", "fixed-exact", "--k", "14", "--n", "20"],
+    ["table", "--model", "independent"],
+    ["optimize", "--model", "fixed"],
+    ["figure", "3", "--grid-step", "0.1"],
+    ["verify", "-"],
+    ["maxfamily", "--n", "5", "--k", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        gekr.cli.main(argv)
+    print(argv[0], loaded())
+gekr.construct.sample_rows(gekr.ModelParams.fixed_weight(6, 4), 3, seed=0)
+print("sample_rows", loaded())
+"""
+
+
+def test_numpy_loads_on_the_first_row_drawn():
+    # Commands that draw no row start without numpy, and nothing loads scipy.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    code = "import sys, gekr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    stages = ["import gekr", "import gekr.cli", "bound", "table", "optimize", "figure", "verify", "maxfamily"]
+    assert proc.stdout.splitlines() == [f"{stage} []" for stage in stages] + ["sample_rows ['numpy']"]
 
 
 def test_imports_are_stdlib_numpy_or_gekr():
@@ -99,7 +130,8 @@ def test_no_module_tests_one_triple_at_a_time():
 
 
 def test_only_construct_imports_numpy():
-    # numpy samples rows; the bounds, the scans and the searches are stdlib only.
+    # numpy samples rows, imported inside the two sampler functions; the
+    # bounds, the scans and the searches are stdlib only.
     importers = {f for f, name in imported_modules(sorted(SRC.glob("*.py"))) if name == "numpy"}
     assert importers == {"construct.py"}
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from gekr.bounds import asymptotic_profile, p_independent
-from gekr.optimize import argmin_independent, argmin_mu, figure_data, golden_section
+from gekr.optimize import _grid, argmin_independent, argmin_mu, figure_data, golden_section
 
 
 class TestGoldenSection:
@@ -58,6 +58,43 @@ class TestArgminMu:
     def test_grid_step_domain(self):
         with pytest.raises(ValueError):
             argmin_mu(grid_step=0.5)
+
+
+class TestGrid:
+    @staticmethod
+    def ends(step):
+        """The (a, b) that figure_data and argmin_mu put on a step grid."""
+        return [(0.0, 1.0 - step), (step, 1.0), (0.0, 1.0), (0.70, 0.78), (0.5 + step, 1.0 - step), (step, 0.5)]
+
+    def test_ends_at_most_one_step_below_upper_end(self):
+        steps = [1e-4 + k * (0.1 - 1e-4) / 2000 for k in range(2001)]
+        steps += [round(1e-4 * k, 6) for k in range(1, 1001)]  # decimal steps
+        for step in steps:
+            for a, b in self.ends(step):
+                grid = _grid(a, b, step)
+                assert grid[0] == round(a, 12)
+                assert grid[-1] <= b and b - grid[-1] < step, (step, a, b, grid[-1])
+
+    def test_default_grids(self):
+        # Whole step counts keep both ends, as the pinned figures need.
+        for (a, b, step), size in {
+            (0.001, 0.999, 0.001): 999,
+            (0.5 + 1e-4, 1.0 - 1e-4, 1e-4): 4999,
+            (1e-4, 0.5, 1e-4): 5000,
+            (0.0, 1.0 - 0.005, 0.005): 200,
+            (0.005, 1.0, 0.005): 200,
+            (0.0, 1.0, 0.005): 201,
+            (0.70, 0.78, 0.005): 17,
+        }.items():
+            grid = _grid(a, b, step)
+            assert (len(grid), grid[0], grid[-1]) == (size, round(a, 12), round(b, 12))
+
+    def test_steps_that_do_not_divide(self):
+        # Rounding the step count once took these past b.
+        for fig in (2, 3):
+            assert figure_data(fig, grid_step=0.06).rows[-1][0] == 0.96
+        assert [row[0] for row in figure_data(4, grid_step=0.05).rows] == [0.7, 0.75]
+        assert _grid(0.009, 0.5, 0.009)[-1] == 0.495
 
 
 class TestFigureData:
