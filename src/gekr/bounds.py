@@ -254,9 +254,8 @@ def discriminant_lead(alpha: float) -> float:
 class AsymptoticProfile:
     """Large-n behaviour of the fixed-weight sums at density alpha.
 
-    e_coeff and f_coeff are the leading (n^4 and n^3) coefficients of
-    the phi discriminant at r = alpha n; beta and kappa locate (as
-    fractions of n) the dominant terms of the two sums; xi and theta
+    beta and kappa locate (as fractions of n) the dominant terms of the
+    two sums; xi and theta
     are the per-column decay bases of those sums, so sigma1 ~ xi^n and
     sigma2 ~ theta^n up to polynomial factors; mu is the base of the
     larger sum, the one that controls the row bound.  beta and xi only
@@ -265,8 +264,6 @@ class AsymptoticProfile:
     """
 
     alpha: float
-    e_coeff: float
-    f_coeff: float
     beta: float | None
     kappa: float
     xi: float | None
@@ -279,9 +276,6 @@ def asymptotic_profile(alpha: float) -> AsymptoticProfile:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     a = float(alpha)
-
-    e_coeff = discriminant_lead(a)
-    f_coeff = -2.0 * a**2 + 4.0 * a**3 + 6.0 - 8.0 * a
 
     beta: float | None = None
     xi: float | None = None
@@ -323,8 +317,6 @@ def asymptotic_profile(alpha: float) -> AsymptoticProfile:
     mu = xi if (a <= 0.5 and xi is not None) else theta
     return AsymptoticProfile(
         alpha=a,
-        e_coeff=e_coeff,
-        f_coeff=f_coeff,
         beta=beta,
         kappa=kappa,
         xi=xi,

@@ -203,7 +203,11 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     assert result.array is not None
     text = result.array.to_text()
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -212,22 +212,18 @@ def greedy_extend(
     """
     n = params.n
     lanes = Lanes(_patterns(params), n)
-    feet, (k, h) = lanes.spread(1, CHUNK), lanes.carry(CHUNK)
+    feet = lanes.spread(1, CHUNK)
     rows: list[int] = []
     firsts: list[int] = []  # lane value of every accepted row as a first
     pairs: list[int] = []  # lane value of every accepted pair
-    chunks: list[int] = []  # pairs[c * CHUNK:(c + 1) * CHUNK] as tape c
+    chunks: list[tuple[int, int, int]] = []  # pairs[c * CHUNK:(c + 1) * CHUNK] as tape c
 
     while max_rows is None or len(rows) < max_rows:
         t = len(rows)
         accepted = None
         for attempt in range(attempts_per_row):
             cand = _sample_row(params, _row_rng(seed, t, attempt))
-            spread = lanes.row(cand) * feet
-            for chunk in chunks:
-                if (spread & chunk) + k & h != h:
-                    break
-            else:
+            if next(lanes.misses(lanes.row(cand) * feet, chunks), None) is None:
                 accepted = cand
                 break
         if accepted is None:

@@ -7,8 +7,9 @@ max_family treats a GEKR family of weight-k rows as a clique of the
 that miss no pattern of core.gekr_patterns:
 
 * The compatibility table is built once: compat[a][b] is a C(n, k)-bit
-  int whose bit c is set iff (a, b, c) is an edge, from one slot test of
-  verify.Lanes per pair.  Edges do not depend on the order of the rows.
+  int whose bit c is set iff (a, b, c) is an edge, from one slot test
+  of verify.Lanes.misses per pair.  Edges do not depend on the order of
+  the rows.
 * A node of the search holds the chosen rows S, the candidates C (the
   rows that make an edge with every pair of S, as a bitset) and, for
   each candidate u, adj[u], the AND over a in S of compat[a][u].  Adding
@@ -34,7 +35,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .core import ArrayMatrix, Pattern, PatternSet, gekr_patterns
+from .core import ArrayMatrix, Pattern, gekr_patterns
 from .verify import Lanes
 
 #: Column-count ceiling for the enumeration oracles.
@@ -73,7 +74,9 @@ def _subset_masks(n: int, r: int) -> list[int]:
 def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
     """Exact probability that three independent uniform weight-r rows
     miss the given pattern, by enumerating ordered pairs (B, C) against
-    a fixed first row A.
+    a fixed first row A: the triple misses (a, b, c) iff
+    sel(A, a) & sel(B, b) & sel(C, c) is zero, where sel(row, 1) = row
+    and sel(row, 0) is its complement over the n columns.
 
     Fixing A is sound because relabeling columns is a bijection of the
     sample space that maps any first row to any other while preserving
@@ -83,16 +86,12 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
         raise ValueError(
             f"enumeration limited to 1 <= r <= n <= {MAX_ENUM_N}, got r={r}, n={n}"
         )
-    # One lane, so one guard bit per slot: a pair's misses are the clear
-    # guard bits of one carry test against the tape of every third.
-    lanes = Lanes(PatternSet(frozenset({tuple(pattern)})), n)
+    if len(pattern) != 3 or not set(pattern) <= {0, 1}:
+        raise ValueError(f"not a binary length-3 pattern: {pattern}")
+    full = (1 << n) - 1
     masks = _subset_masks(n, r)
-    thirds = lanes.tape([lanes.row(c) for c in masks], len(masks))
-    k, h = lanes.carry(len(masks))
-    count = 0
-    for b in masks:
-        pair = lanes.spread(lanes.pair(masks[0], b), len(masks))
-        count += (h ^ (pair & thirds) + k & h).bit_count()
+    sel = [[mask if bit else mask ^ full for mask in masks] for bit in pattern]
+    count = sum(not sel[0][0] & b & c for b in sel[1] for c in sel[2])
     return Fraction(count, len(masks) ** 2)
 
 
@@ -140,24 +139,20 @@ def _colour(
 
 def _compat_table(lanes: Lanes, masks: list[int]) -> list[list[int]]:
     """compat[a][b]: bit c set iff rows a, b and c, in any order, miss
-    no pattern of lanes.  One carry test of the pair (a, b) against the
-    tape of every third gives the guard bits of all c; the AND of each
-    slot's guard bits, moved to the slot's bit 0, is then read off every
-    slot-th binary digit."""
-    count, slot, guard = len(masks), lanes.slot, lanes.width - 1
+    no pattern of lanes.  One slot test of the pair (a, b) against the
+    tape of every third finds the c that miss, one bit each."""
+    count = len(masks)
+    every = (1 << count) - 1
     first = [lanes.row(mask, 0) for mask in masks]
     second = [lanes.row(mask, 1) for mask in masks]
-    thirds = lanes.tape([lanes.row(mask) for mask in masks], count)
-    k, h = lanes.carry(count)
-    shifts = [t * lanes.width + guard for t in range(len(lanes.patterns))]
+    thirds = [lanes.tape([lanes.row(mask) for mask in masks], count)]
     compat = [[0] * count for _ in range(count)]
     for a in range(count):
         for b in range(a + 1, count):
-            guards = (lanes.spread(first[a] & second[b], count) & thirds) + k & h
-            ok = -1
-            for shift in shifts:
-                ok &= guards >> shift
-            compat[a][b] = compat[b][a] = int(format(ok, "b")[::-slot][::-1], 2)
+            ok = every
+            for _, clear in lanes.misses(lanes.spread(first[a] & second[b], count), thirds):
+                ok ^= lanes.slots(clear)
+            compat[a][b] = compat[b][a] = ok
     return compat
 
 

@@ -23,18 +23,20 @@ mask of all guard bits, the triple is deficient iff
 
 With two rows fixed, many thirds are tested per operation.  Slot s of
 an integer holds a lane value at bits s*S.. of S = P*w bits, for P
-patterns; a tape (Lanes.tape) holds lane values in consecutive slots.
-Lanes.spread copies a lane value into every slot by shifted copies, and
-with K and H repeated per slot (Lanes.carry), the guard bits of
+patterns; a tape (Lanes.tape) holds lane values in consecutive slots,
+with K and H repeated per slot.  Lanes.spread copies a lane value into
+every slot by shifted copies, and the guard bits of
 ((spread & tape) + K) & H test every slot at once: slot s misses a
-pattern iff one of its guard bits is clear.  TripleScan keeps, for
-every row j but the last, block j: seconds[j] & thirds[l] in slot
-l - j - 1 for each l > j, so one test of row x's spread as a first row
-against block j covers every triple (x, j, l).  Its row walk spreads x
-once and yields, block by block, the rows l of the clear slots; the
-forward scan walks each row i over the blocks j > i, and the rescan
-below walks a new row over the blocks it needs.  The blocks take about
-comb(m, 2) * S bits, at most MAX_BLOCK_BYTES.
+pattern iff one of its guard bits is clear.  Lanes.misses, the one
+carry test the package runs, yields those clear bits for each tape of
+a run that misses.  TripleScan keeps, for every row j but the last,
+block j: seconds[j] & thirds[l] in slot l - j - 1 for each l > j, so
+one test of row x's spread as a first row against block j covers every
+triple (x, j, l), and the clear bits of slot l - j - 1 are the patterns
+that (x, j, l) misses.  The forward scan tests each row i against the
+blocks j > i, and the rescan below a new row against the blocks it
+needs.  The blocks take about comb(m, 2) * S bits, at most
+MAX_BLOCK_BYTES.
 
 GEKR and {011, 101, 110} are each closed under permuting the three
 places, so whether a triple misses a pattern of either set does not
@@ -63,15 +65,17 @@ def _padded(c: int) -> int:
     return -(-max(c, 0) // PAD) * PAD
 
 
-def _set_slots(bits: int, slot: int, base: int, stop: int) -> Iterator[int]:
-    """base plus the index of each slot holding a set bit, below stop."""
+def _set_slots(bits: int, slot: int, base: int, stop: int) -> Iterator[tuple[int, int]]:
+    """(base plus the index, its bits) of each slot holding a set bit, below stop."""
+    mask = (1 << slot) - 1
     while bits:
         skip = ((bits & -bits).bit_length() - 1) // slot
         base += skip
         if base >= stop:
             return
-        yield base
-        bits >>= (skip + 1) * slot
+        bits >>= skip * slot
+        yield base, bits & mask
+        bits >>= slot
         base += 1
 
 
@@ -89,10 +93,11 @@ class Lanes:
             [(t * self.width, pattern[place]) for t, pattern in enumerate(self.patterns)]
             for place in range(3)
         ]
+        self._guards = [shift + n for shift, _ in self._reads[0]]  # of slot 0
         feet = sum(1 << shift for shift, _ in self._reads[0])
         self._k, self._h = self.full * feet, feet << n
         self._missing: dict[int, frozenset[Pattern]] = {}
-        self._carry: dict[int, tuple[int, int, int]] = {}
+        self._carry: dict[int, tuple[int, int]] = {}
 
     def row(self, row: int, place: int = 2) -> int:
         """Lane value of a row standing at position place (0, 1 or 2) of
@@ -103,29 +108,42 @@ class Lanes:
             value |= sel[bit] << shift
         return value
 
-    def pair(self, a: int, b: int) -> int:
-        """Lane value of the first two rows of a triple."""
-        return self.row(a, 0) & self.row(b, 1)
-
     def deficient(self, pair: int, row: int) -> bool:
         """True iff the triple misses a pattern of the set: the one-triple
-        definition that the slot tests are checked against."""
+        definition that the tests check misses against."""
         return (pair & row) + self._k & self._h != self._h
 
-    def missing(self, pair: int, row: int) -> frozenset[Pattern]:
-        """The patterns the triple misses: those whose lanes carry nothing
-        into their guard bits.  A pattern set of size P has at most 2^P
+    def misses(
+        self, value: int, tapes: Sequence[tuple[int, int, int]], order: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, int]]:
+        """(i, the guard bits left clear) for each tape i, taken in order
+        (all by default), in which value, spread at least as wide as the
+        tape, misses a pattern: one carry test of all its slots at once."""
+        for i in range(len(tapes)) if order is None else order:
+            tape, k, h = tapes[i]
+            guards = (value & tape) + k & h
+            if guards != h:
+                yield i, h ^ guards
+
+    def missing(self, clear: int) -> frozenset[Pattern]:
+        """The patterns that one slot misses, from its clear guard bits
+        moved down to slot 0.  A pattern set of size P has at most 2^P
         answers, so each is built once."""
-        guards = (pair & row) + self._k & self._h
-        found = self._missing.get(guards)
+        found = self._missing.get(clear)
         if found is None:
-            guard = self.width - 1
-            found = self._missing[guards] = frozenset(
-                pattern
-                for t, pattern in enumerate(self.patterns)
-                if not guards >> (t * self.width + guard) & 1
+            found = self._missing[clear] = frozenset(
+                pattern for pattern, guard in zip(self.patterns, self._guards) if clear >> guard & 1
             )
         return found
+
+    def slots(self, clear: int) -> int:
+        """Bit s set iff slot s of the clear guard bits has one set: the
+        slots that miss a pattern.  ORing each lane's guard bits down to
+        bit 0 of their slot leaves the answer at every slot-th bit."""
+        folded = 0
+        for guard in self._guards:
+            folded |= clear >> guard
+        return int(format(folded, "b")[::-self.slot][::-1], 2)
 
     def carry(self, count: int) -> tuple[int, int]:
         """(K, H) repeated once per slot for count slots, each built once."""
@@ -143,10 +161,14 @@ class Lanes:
             done *= 2
         return value & (1 << count * self.slot) - 1
 
-    def tape(self, values: Sequence[int], count: int) -> int:
+    def pack(self, values: Sequence[int], count: int) -> int:
         """values[s] in slot s, then up to count slots of full lanes, the AND identity."""
         values = [*values, *[self._k] * (count - len(values))]
         return sum(v << s * self.slot for s, v in enumerate(values))
+
+    def tape(self, values: Sequence[int], count: int) -> tuple[int, int, int]:
+        """values packed in count slots, with K and H for them, as misses takes it."""
+        return (self.pack(values, count), *self.carry(count))
 
 
 def scan_bytes(m: int, n: int, patterns: PatternSet = GEKR) -> int:
@@ -206,17 +228,16 @@ class TripleScan:
     searches, with the blocks of the module docstring kept; ValueError
     if they would pass MAX_BLOCK_BYTES.
 
-    One row walk, _walk, tests a row as a first row against blocks and
-    yields the thirds that miss a pattern, block by block.  scan walks
-    each row i over the blocks j > i and yields the deficient triples in
-    lexicographic order; the rescan of replace walks a new row over the
-    blocks its triples before the cursor lie in.  first and replace make
+    scan tests each row i, spread as a first row, against the blocks
+    j > i through Lanes.misses and yields the deficient triples in
+    lexicographic order; the rescan of replace tests a new row against
+    the blocks its triples before the cursor lie in.  first and replace make
     the scan incremental for a resampling loop such as Moser-Tardos.
     They keep a cursor, the first triple not yet known to be clean, and
     found, the deficient triples before it; every other triple before
     the cursor is clean.  first returns min(found), or the first triple
     that scan yields from the cursor.  replace patches the blocks, drops
-    the found triples that hold a replaced row and walks each new row, as
+    the found triples that hold a replaced row and rescans each new row, as
     the module docstring sets out.  That needs a pattern set closed under
     permuting the places, and replace raises ValueError for any other.
     Either way the answer is the lexicographically first deficient
@@ -233,7 +254,7 @@ class TripleScan:
         self.firsts = [lanes.row(row, 0) for row in rows]
         self.seconds = [lanes.row(row, 1) for row in rows]
         self.thirds = [lanes.row(row) for row in rows]
-        self._third_tape = lanes.tape(self.thirds, m + PAD)
+        self._third_tape = lanes.pack(self.thirds, m + PAD)
         self._blocks = [self._block(j) for j in range(m - 1)] if m > 2 else []
         self.cursor = (0, 0, 0)  # scan reads this as the first triple, (0, 1, 2)
         self.found: set[tuple[int, int, int]] = set()
@@ -244,18 +265,6 @@ class TripleScan:
         spread = self.lanes.spread(self.seconds[j], count)
         return (spread & self._third_tape >> (j + 1) * self.lanes.slot, *self.lanes.carry(count))
 
-    def _walk(self, x: int, js: Iterable[int]) -> Iterator[tuple[int, Iterator[int]]]:
-        """Row x as a first row against block j for each j of js, in
-        turn: (j, the rows l > j, ascending, for which (x, j, l) misses a
-        pattern) for every block with such a row."""
-        m, slot, blocks = self.m, self.lanes.slot, self._blocks
-        spread = self.lanes.spread(self.firsts[x], _padded(m - 1))
-        for j in js:
-            block, k, h = blocks[j]
-            guards = (spread & block) + k & h
-            if guards != h:
-                yield j, _set_slots(h ^ guards, slot, j + 1, m)
-
     def scan(
         self, start: tuple[int, int, int]
     ) -> Iterator[tuple[int, int, int, frozenset[Pattern]]]:
@@ -263,14 +272,14 @@ class TripleScan:
         order, each with the patterns it misses.  start need not be an
         increasing triple: (i, 0, 0) begins at the first triple of row i.
         Block 0 is never read."""
-        firsts, seconds, thirds, missing = self.firsts, self.seconds, self.thirds, self.lanes.missing
+        m, lanes, blocks = self.m, self.lanes, self._blocks
         i_start, j_from, l_from = start
-        for i in range(i_start, self.m - 2):
-            for j, ls in self._walk(i, range(max(j_from, i + 1), self.m - 1)):
-                pair = firsts[i] & seconds[j]
-                for l in ls:
+        for i in range(i_start, m - 2):
+            spread = lanes.spread(self.firsts[i], _padded(m - 1))
+            for j, clear in lanes.misses(spread, blocks, range(max(j_from, i + 1), m - 1)):
+                for l, bits in _set_slots(clear, lanes.slot, j + 1, m):
                     if j > j_from or l >= l_from:
-                        yield i, j, l, missing(pair, thirds[l])
+                        yield i, j, l, lanes.missing(bits)
             j_from = 0  # below every j from here on
 
     def first(self) -> tuple[int, int, int] | None:
@@ -314,13 +323,16 @@ class TripleScan:
         the deficient ones to found, and count them in checked: the
         triples before the cursor less those without r.  A triple holding
         two replaced rows is tested once for each."""
-        m, found = self.m, self.found
+        m, lanes, found = self.m, self.lanes, self.found
         cursor = ci, cj, _ = self.cursor
         # min(r, j) <= ci for a triple before the cursor, and j <= cj too
         # when r == ci < j.
         stop = m - 1 if r < ci else cj + 1 if r == ci else 0
-        for j, ls in self._walk(r, itertools.chain(range(min(r, ci + 1)), range(r + 1, stop))):
-            for l in ls:  # block j < r holds row r itself at l == r
+        spread = lanes.spread(self.firsts[r], _padded(m - 1))
+        js = itertools.chain(range(min(r, ci + 1)), range(r + 1, stop))
+        for j, clear in lanes.misses(spread, self._blocks, js):
+            for l, _ in _set_slots(clear, lanes.slot, j + 1, m):
+                # block j < r holds row r itself at l == r
                 if l != r and (triple := tuple(sorted((r, j, l)))) < cursor:
                     found.add(triple)
         self.checked += _before(m, cursor) - _before(m - 1, _without(cursor, r))

@@ -424,7 +424,7 @@ class TestAsymptoticProfile:
         assert prof.beta == pytest.approx(1 / 3, abs=1e-10)
         assert prof.xi == pytest.approx(4 / 9, abs=1e-10)
         assert prof.theta == pytest.approx(0.7828332733763574, abs=1e-9)
-        assert prof.e_coeff == pytest.approx(1 / 9, abs=1e-12)
+        assert bounds.discriminant_lead(2 / 3) == pytest.approx(1 / 9, abs=1e-12)
 
     def test_near_optimum(self):
         prof = bounds.asymptotic_profile(0.7395)
@@ -432,22 +432,14 @@ class TestAsymptoticProfile:
         assert prof.theta == pytest.approx(0.7764199277376834, abs=1e-9)
         assert prof.mu == prof.theta
 
-    def test_coefficients(self):
-        # e factors as (1-a)^3 (1+3a); f at 1/2 is exactly 2.
-        for a in (0.1, 0.25, 0.5, 0.7, 0.9):
-            prof = bounds.asymptotic_profile(a)
-            assert prof.e_coeff == pytest.approx((1 - a) ** 3 * (1 + 3 * a), rel=1e-12)
-        assert bounds.asymptotic_profile(0.5).f_coeff == pytest.approx(2.0)
-
     def test_discriminant_lead(self):
-        # e(a) = 1 - 3a^4 + 8a^3 - 6a^2, the quartic before factoring; the
-        # profile and figure 1 (which starts at a = 0) read the same value.
+        # e(a) = 1 - 3a^4 + 8a^3 - 6a^2, the quartic before factoring, which
+        # figure 1 (starting at a = 0) reads.
         assert bounds.discriminant_lead(0.0) == 1.0
         assert bounds.discriminant_lead(1.0) == 0.0
         for a in (0.1, 0.25, 0.5, 0.7, 0.9):
             quartic = 1 - 3 * a**4 + 8 * a**3 - 6 * a**2
             assert bounds.discriminant_lead(a) == pytest.approx(quartic, rel=1e-12)
-            assert bounds.asymptotic_profile(a).e_coeff == bounds.discriminant_lead(a)
 
     def test_degenerate_full_density(self):
         prof = bounds.asymptotic_profile(1.0)

@@ -258,6 +258,14 @@ class TestConstruct:
         assert out == ""
         assert is_gekr(parse_array(path.read_text()))
 
+    def test_unwritable_output_exits_two(self, cli, tmp_path):
+        # Exit 1 means the construction gave up; a failed write is exit 2.
+        path = tmp_path / "absent" / "arr.txt"
+        code, out, err = cli(["construct", "--n", "10", "--k", "7", "--m", "4", "--output", str(path)])
+        assert (code, out) == (2, "")
+        assert f"cannot write {path}" in err
+        assert "Traceback" not in err and not path.parent.exists()
+
     def test_failure_exit_one(self, cli):
         code, _, err = cli(
             ["construct", "--model", "fixed", "--k", "6", "--n", "6", "--m", "3", "--max-resamples", "25"]

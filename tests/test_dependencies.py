@@ -90,7 +90,8 @@ def test_every_test_extra_is_imported():
 
 def lanes_reads(source: str, attr: str) -> list[int]:
     """Lines that read attribute attr of a Lanes: of a Lanes(...) call, of
-    a name or attribute assigned one, or of any attribute named lanes."""
+    a name or attribute assigned one, of a parameter named lanes, or of
+    any attribute named lanes."""
     tree = ast.parse(source)
 
     def is_lanes(node) -> bool:
@@ -101,7 +102,7 @@ def lanes_reads(source: str, attr: str) -> list[int]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Assign) and is_lanes(node.value)
         for target in node.targets
-    }
+    } | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg) and node.arg == "lanes"}
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -125,6 +126,22 @@ def test_no_module_tests_one_triple_at_a_time():
     assert lanes_reads(probe, "deficient") == [2, 3, 4]
     readers = {
         path.name for path in SRC.glob("*.py") if lanes_reads(path.read_text(), "deficient")
+    }
+    assert readers == set()
+
+
+def test_only_verify_reads_the_lane_layout():
+    # The slot width, the lane width and the carry constants K and H are
+    # known to verify.py alone: other modules test through Lanes.misses
+    # and read its clear guard bits through Lanes.slots.
+    probe = "def f(lanes, x):\n    return lanes.slot + x.slot\n"
+    assert lanes_reads(probe, "slot") == [2]
+    readers = {
+        (path.name, attr)
+        for path in SRC.glob("*.py")
+        if path.name != "verify.py"
+        for attr in ("carry", "slot", "width", "_k", "_h", "_guards")
+        if lanes_reads(path.read_text(), attr)
     }
     assert readers == set()
 

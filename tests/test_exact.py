@@ -208,7 +208,7 @@ def test_compat_table_oracle(n, k):
         for b in range(count):
             assert compat[a][b] == compat[b][a]
             assert not compat[a][b] >> a & 1 and not compat[a][b] >> b & 1
-            pair = lanes.pair(masks[a], masks[b])
+            pair = lanes.row(masks[a], 0) & lanes.row(masks[b], 1)
             for c in range(count):
                 assert (compat[a][b] >> c & 1) == (not lanes.deficient(pair, lanes.row(masks[c])))
     for a, b, c in combinations(range(count), 3):

@@ -428,8 +428,8 @@ class TestLanes:
         # n = 2: lanes are 3 bits wide, guard bit at position 2 of each.
         lanes = Lanes(PatternSet(frozenset({(0, 1, 1), (1, 1, 0)})), 2)
         assert lanes.row(0b01) == 0b10_001  # lane 0: row, lane 1: complement
-        assert lanes.pair(0b01, 0b11) == 0b001_010
-        assert not lanes.deficient(lanes.pair(0b10, 0b11), lanes.row(0b01))
+        assert lanes.row(0b01, 0) & lanes.row(0b11, 1) == 0b001_010
+        assert not lanes.deficient(lanes.row(0b10, 0) & lanes.row(0b11, 1), lanes.row(0b01))
 
     @pytest.mark.parametrize("n", [1, 7, 64, 1000])
     def test_carry_repeats_one_slot(self, n):
@@ -460,10 +460,67 @@ class TestLanes:
         for n in (1, 2, 7, 64):
             full = (1 << n) - 1
             lanes = Lanes(PatternSet(frozenset({(1, 1, 1), (1, 1, 0)})), n)
-            pair = lanes.pair(full, full)
+            pair = lanes.row(full, 0) & lanes.row(full, 1)
             assert lanes.deficient(pair, lanes.row(full))
-            assert lanes.missing(pair, lanes.row(full)) == {(1, 1, 0)}
-            assert lanes.missing(pair, lanes.row(0)) == {(1, 1, 1)}
+            tapes = [lanes.tape([lanes.row(full)], 1), lanes.tape([lanes.row(0)], 1)]
+            (_, full_clear), (_, zero_clear) = lanes.misses(pair, tapes)
+            assert lanes.missing(full_clear) == {(1, 1, 0)}
+            assert lanes.missing(zero_clear) == {(1, 1, 1)}
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            GEKR,
+            PAIRWISE,
+            PatternSet(frozenset(ALL_PATTERNS)),
+            PatternSet(frozenset({(0, 0, 1), (1, 1, 0)})),  # not closed under permutation
+            PatternSet(frozenset({(1, 0, 0)})),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    def test_misses_match_deficient(self, patterns, count):
+        # Row x as a first row against tapes of (y, z) pairs, some slots
+        # left to the full-lane filler, and each tape made clean or not
+        # on purpose: misses yields exactly the tapes with a deficient
+        # slot, in the order asked for.  A slot's clear guard bits give
+        # its naive missing set, and slots gives one bit per such slot.
+        n = 16
+        rng = random.Random(count * 97 + len(patterns))
+        lanes = Lanes(patterns, n)
+        mask = (1 << lanes.slot) - 1
+        x = sum(1 << c for c in rng.sample(range(n), n // 2))  # so clean triples are common
+
+        def gap(y: int, z: int) -> frozenset:
+            seen = {(x >> c & 1, y >> c & 1, z >> c & 1) for c in range(n)}
+            return frozenset(set(patterns.members) - seen)
+
+        def draw(want_clean: bool) -> tuple[int, int]:
+            while True:
+                y, z = rng.getrandbits(n), rng.getrandbits(n)
+                if want_clean == (not gap(y, z)):
+                    return y, z
+
+        filled = [rng.randint(0, count) for _ in range(8)]
+        triples = [
+            [draw(tape % 2 == 0 or s > 0 and rng.random() < 0.8) for s in range(used)]
+            for tape, used in enumerate(filled)
+        ]
+        tapes = [lanes.tape([lanes.row(y, 1) & lanes.row(z) for y, z in t], count) for t in triples]
+        value = lanes.spread(lanes.row(x, 0), count)
+        bad = {
+            i for i, t in enumerate(triples)
+            if any(lanes.deficient(lanes.row(x, 0) & lanes.row(y, 1), lanes.row(z)) for y, z in t)
+        }
+        assert bad == {i for i in range(1, 8, 2) if filled[i]}  # the odd tapes miss at slot 0
+        order = [7, 0, 5, 3, 2, 6, 4]  # tape 1 left out
+        assert [i for i, _ in lanes.misses(value, tapes, order)] == [i for i in order if i in bad]
+        hits = dict(lanes.misses(value, tapes))
+        assert list(hits) == sorted(bad)
+        for i, clear in hits.items():
+            per_slot = [clear >> s * lanes.slot & mask for s in range(count)]
+            assert lanes.slots(clear) == sum(1 << s for s, bits in enumerate(per_slot) if bits)
+            gaps = [gap(y, z) for y, z in triples[i]] + [frozenset()] * (count - filled[i])
+            assert [lanes.missing(bits) for bits in per_slot] == gaps
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
