@@ -4,28 +4,20 @@ Exit codes: 0 success / property holds; 1 property fails or the
 construction gave up; 2 usage, domain, or parse errors.  Magnitudes are
 printed in both rendered ("2.26e289") and raw log10 forms because the
 interesting values overflow every native float format.
+
+Each command imports the modules it runs, so that `gekr bound` loads only
+core, bounds and this module: most calls print one bound, and start-up,
+which compiles every module imported, is most of their time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from pathlib import Path
 
-from . import bounds, construct, exact, optimize, verify
-from .core import (
-    GEKR,
-    ArrayMatrix,
-    ModelParams,
-    PatternSet,
-    parse_alpha,
-    parse_array,
-    render_magnitude,
-)
+from .core import GEKR, ModelParams, PatternSet, Strategy, parse_alpha, parse_array, render_magnitude
 
 
 def _split_tokens(text: str) -> list[str]:
@@ -50,36 +42,28 @@ def _parse_ns(text: str) -> list[int]:
     return [_parse_n(tok) for tok in _split_tokens(text)]
 
 
-def _check_density(parser: argparse.ArgumentParser, alpha: Fraction, text: str) -> None:
-    """Refuse a density outside (0, 1], or one that the float formulas
-    would read as 0 (such as 1e-400)."""
-    if not 0 < alpha <= 1:
-        parser.error(f"density must be in (0, 1], got {text}")
-    if float(alpha) == 0.0:
-        parser.error(f"density {text} underflows a float (smallest positive 5e-324)")
-
-
 def _resolve_alpha(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Fraction:
-    """Density from --alpha or --k/--n, validated by _check_density."""
+    """Density from --alpha or --k/--n, validated by parse_alpha."""
     if args.alpha is not None and getattr(args, "k", None) is not None:
         parser.error("give either --alpha or --k, not both")
     if args.alpha is not None:
-        alpha, text = parse_alpha(args.alpha), args.alpha
-    elif getattr(args, "k", None) is not None:
-        alpha, text = Fraction(args.k, args.n), f"{args.k}/{args.n}"
-    else:
-        parser.error("one of --alpha or --k is required")
-    _check_density(parser, alpha, text)
-    return alpha
+        return parse_alpha(args.alpha)
+    if getattr(args, "k", None) is not None:
+        return parse_alpha(f"{args.k}/{args.n}")
+    parser.error("one of --alpha or --k is required")
 
 
 def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import bounds
+
     alpha = _resolve_alpha(parser, args)
     value = bounds.row_bound(args.model, alpha, args.n)
     mantissa, exponent = value.scientific()
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -99,6 +83,8 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import bounds
+
     alpha_tokens = (
         _split_tokens(args.alphas) if args.alphas is not None
         else list(bounds.TABLE_ALPHAS[args.model])
@@ -108,11 +94,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("alpha grid is empty")
     if not ns:
         parser.error("n grid is empty")
-    grid = []
-    for tok in alpha_tokens:
-        alpha = parse_alpha(tok)
-        _check_density(parser, alpha, tok)
-        grid.append((tok, alpha))
+    grid = [(tok, parse_alpha(tok)) for tok in alpha_tokens]
 
     print("alpha,n,log10_m,rendered")
     for tok, alpha in grid:
@@ -123,6 +105,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from . import verify
+
     if args.workers is not None and args.workers < 1:
         parser.error(f"workers must be at least 1, got {args.workers}")
     # An input past the scan's own byte limit is refused before it is
@@ -166,6 +152,11 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    import logging
+    from pathlib import Path
+
+    from . import construct
+
     alpha = _resolve_alpha(parser, args)
     if args.model == "independent":
         params = ModelParams.independent(alpha, args.n)
@@ -173,8 +164,8 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         params = ModelParams.fixed_weight(args.n, int(alpha * args.n))
     else:
         parser.error(f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{args.n}")
-    strategy = construct.Strategy(args.strategy)
-    if args.m is None and strategy is not construct.Strategy.GREEDY:
+    strategy = Strategy(args.strategy)
+    if args.m is None and strategy is not Strategy.GREEDY:
         parser.error("--m is required for this strategy")
     config = construct.ConstructionConfig(
         params=params,
@@ -214,6 +205,8 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import bounds, optimize
+
     if args.model == "independent":
         alpha_star, p_star = optimize.argmin_independent(args.n)
         print(f"alpha_star = {alpha_star:.6f}")
@@ -230,6 +223,8 @@ def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_figure(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import optimize
+
     table = optimize.figure_data(args.figure, grid_step=args.grid_step)
     print(",".join(table.columns))
     for row in table.rows:
@@ -238,6 +233,8 @@ def cmd_figure(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_maxfamily(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import exact
+
     result = exact.max_family(args.n, args.k, node_limit=args.node_limit)
     print(f"size: {result.size}")
     print(f"optimal: {'true' if result.optimal else 'false'}")
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument(
         "--strategy",
         default="moser-tardos",
-        choices=[s.value for s in construct.Strategy],
+        choices=[s.value for s in Strategy],
     )
     p_construct.add_argument("--max-resamples", type=int, default=1_000_000)
     p_construct.add_argument("--attempts-per-row", type=int, default=1_000)

@@ -26,10 +26,9 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
-from .core import ArrayMatrix, Model, ModelParams, PatternSet, gekr_patterns
+from .core import ArrayMatrix, Model, ModelParams, PatternSet, Strategy, gekr_patterns
 from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
 
 #: A progress record goes to the "gekr" logger, at INFO, every this many
@@ -42,12 +41,6 @@ log = logging.getLogger("gekr")
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class Strategy(Enum):
-    REJECTION = "rejection"
-    MOSER_TARDOS = "moser-tardos"
-    GREEDY = "greedy"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ the number of columns, and bitwise AND/OR/XOR act on all columns at once.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -145,6 +146,15 @@ class Model(Enum):
 
     INDEPENDENT = "independent"
     FIXED_WEIGHT = "fixed-weight"
+
+
+class Strategy(Enum):
+    """How construct.run builds an array; the values are the CLI's
+    --strategy choices."""
+
+    REJECTION = "rejection"
+    MOSER_TARDOS = "moser-tardos"
+    GREEDY = "greedy"
 
 
 @dataclass(frozen=True)
@@ -304,11 +314,39 @@ class DeficiencyReport:
         return not self.deficient
 
 
+#: The exponent of a decimal, in the grammar of Fraction(text).
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def parse_alpha(text: str) -> Fraction:
-    """Parse a density argument: decimal like "0.5" or fraction "2/3"."""
-    text = text.strip()
+    """Parse a density in (0, 1] that the float formulas do not read as 0
+    (1e-400 they do): a decimal such as "0.5" or "1e-5", or a fraction
+    such as "2/3".
+
+    Fraction(text) would compute 10**exponent exactly, which for
+    "1e-30000000" takes minutes.  So the rest of a decimal is parsed
+    first, by Fraction with exponent 0, and the exponent is then cut to
+    len(text) + 400 either way.  The rest, nonzero, lies between
+    10**-len(text) and 10**len(text), so the cut value stays on the same
+    side of 1 and of the smallest float, and is refused whenever it
+    differs from the true one.
+    """
+    raw, text = text, text.strip()
+    found = _EXPONENT.search(text)
     try:
-        value = Fraction(text)
+        if found is None:
+            value = Fraction(text)
+        else:
+            try:
+                value = Fraction(text[: found.start(1)] + "0")
+            except ValueError:  # then Fraction(text) fails as fast, with its own message
+                value = Fraction(text)
+            cut = len(text) + 400
+            value *= Fraction(10) ** max(-cut, min(int(found[1]), cut))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad density {text!r}: {exc}") from None
+    if not 0 < value <= 1:
+        raise ValueError(f"density must be in (0, 1], got {raw}")
+    if float(value) == 0.0:
+        raise ValueError(f"density {raw} underflows a float (smallest positive 5e-324)")
     return value

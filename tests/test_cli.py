@@ -2,6 +2,10 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,46 @@ class TestBound:
             code, out, err = cli(["bound", "--model", "fixed-exact", "--k", "3", "--n", n])
             assert (code, out) == (2, "")
             assert "past the limit of 10000000" in err and "Traceback" not in err
+
+
+#: Run in a fresh interpreter with argv: print main's exit code and the
+#: seconds it took, start-up left out.
+TIMED_MAIN = """
+import sys, time
+from gekr.cli import main
+start = time.perf_counter()
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("1e-30000000", "density 1e-30000000 underflows a float"),
+     ("1e30000000", "density must be in (0, 1], got 1e30000000")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--model", "independent", "--n", "10", "--alpha"],
+     ["table", "--model", "independent", "--ns", "10", "--alphas"],
+     ["construct", "--model", "independent", "--n", "10", "--m", "3", "--alpha"]],
+    ids=lambda argv: argv[0],
+)
+def test_density_exponent_refused_unexpanded(argv, value, message):
+    # Fraction("1e-30000000") would build 10**30000000; the range check
+    # reads the exponent first.  A fresh process, so that a hang times out.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv, value], capture_output=True, text=True, env=env, timeout=20
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "2" and float(seconds) < 1.0
+    assert message in proc.stderr
 
 
 class TestTable:

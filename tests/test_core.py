@@ -220,3 +220,20 @@ def test_parse_alpha():
         parse_alpha("abc")
     with pytest.raises(ValueError):
         parse_alpha("1/0")
+
+
+def test_parse_alpha_range():
+    # Densities outside (0, 1] or under the smallest float are refused
+    # with the same message whatever the exponent, which is never
+    # expanded past len(text) + 400 digits.
+    assert parse_alpha(" 1e-300 ") == Fraction(1, 10**300)
+    assert parse_alpha("1_0e-0000000000000000000000001") == Fraction(1)
+    for text in ("0", "-1/3", "3/2", "1.5", "1e30000000", "1e99999999999999999999", "0e-99999999999999999999"):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\], got "):
+            parse_alpha(text)
+    for text in ("1e-400", "1e-30000000", "1e-99999999999999999999", "1e-9_999_999_999_999_999_999"):
+        with pytest.raises(ValueError, match=f"density {text} underflows a float"):
+            parse_alpha(text)
+    for text in ("inf", "nan", "1e", "1 e5", "1__0e5", "1e99999999999999999999x"):
+        with pytest.raises(ValueError, match="bad density"):
+            parse_alpha(text)

@@ -3,11 +3,14 @@ only when a row is first drawn, and the test extra lists only what the
 tests import."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gekr"
@@ -57,18 +60,74 @@ print("sample_rows", loaded())
 """
 
 
-def test_numpy_loads_on_the_first_row_drawn():
-    # Commands that draw no row start without numpy, and nothing loads scipy.
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_numpy_loads_on_the_first_row_drawn():
+    # Commands that draw no row start without numpy, and nothing loads scipy.
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     stages = ["import gekr", "import gekr.cli", "bound", "table", "optimize", "figure", "verify", "maxfamily"]
     assert proc.stdout.splitlines() == [f"{stage} []" for stage in stages] + ["sample_rows ['numpy']"]
+
+
+#: Run in a fresh interpreter with a stage as argv: print the gekr
+#: submodules, and which of json and logging, that the stage loaded.
+IMPORT_PROBE = """
+import contextlib, io, sys
+
+before = set(sys.modules)
+
+def loaded():
+    new = set(sys.modules) - before
+    return sorted(m[len("gekr."):] for m in new if m.startswith("gekr.")) + sorted(new & {"json", "logging"})
+
+stage = sys.argv[1:]
+import gekr
+if stage != ["gekr"]:
+    import gekr.cli
+if stage not in (["gekr"], ["gekr.cli"]):
+    sys.stdin = io.StringIO("011\\n101\\n110\\n111\\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        gekr.cli.main(stage)
+print(loaded())
+"""
+
+
+def test_each_command_imports_only_what_it_runs():
+    # Start-up compiles every module imported, so each stage pays only for
+    # its own: a bound loads no scan, a scan no bound, and json and
+    # logging load only for `bound --json` and `construct`.
+    stages = {
+        ("gekr",): [],
+        ("gekr.cli",): ["cli", "core"],
+        ("bound", "--model", "fixed-exact", "--k", "14", "--n", "20"): ["bounds", "cli", "core"],
+        ("bound", "--model", "independent", "--alpha", "0.5", "--n", "9", "--json"):
+            ["bounds", "cli", "core", "json"],
+        ("table", "--model", "independent"): ["bounds", "cli", "core"],
+        ("optimize", "--model", "fixed"): ["bounds", "cli", "core", "optimize"],
+        ("figure", "3", "--grid-step", "0.1"): ["bounds", "cli", "core", "optimize"],
+        ("verify", "-"): ["cli", "core", "verify"],
+        ("maxfamily", "--n", "5", "--k", "3"): ["cli", "core", "exact", "verify"],
+        ("construct", "--k", "4", "--n", "6", "--m", "3"): ["cli", "construct", "core", "verify", "logging"],
+    }
+    seen = {}
+    for stage in stages:
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *stage],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen[stage] = ast.literal_eval(proc.stdout)
+    assert seen == stages
 
 
 def test_imports_are_stdlib_numpy_or_gekr():
@@ -199,20 +258,23 @@ def test_every_public_definition_is_named_elsewhere():
 
 
 def test_all_lists_exactly_the_package_imports():
-    # A name deleted from one list but not the other breaks
-    # `from gekr import *` or leaves an import nothing exports.
+    # __init__ imports lazily from a table of names by defining module: a
+    # name deleted from the table but not its module, or listed twice,
+    # breaks `from gekr import *` or exports what nothing defines.
     import gekr
 
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if node.module != "__future__"
-    ]
-    assert len(imported) > 30, "wrong source file"
-    assert sorted(gekr.__all__) == sorted(imported)
+    listed = [name for names in gekr._HOMES.values() for name in names.split()]
+    assert len(listed) > 30, "wrong table"
+    assert len(set(listed)) == len(listed)
+    assert gekr.__all__ == sorted(listed)
+    for name in gekr.__all__:
+        module = importlib.import_module(f"gekr.{gekr._HOME[name]}")
+        value = getattr(gekr, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) in (module.__name__, "builtins"), name
     namespace: dict = {}
     exec("from gekr import *", namespace)
     assert set(gekr.__all__) <= namespace.keys()
+    assert set(gekr.__all__) <= set(dir(gekr))
+    with pytest.raises(AttributeError):
+        gekr.no_such_name
