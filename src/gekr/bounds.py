@@ -75,7 +75,7 @@ def p_independent(alpha: float, n: int) -> LogMagnitude:
     # log1p keeps precision when alpha is small and alpha^3 is tiny.
     log10_all_ones = n * math.log1p(-(a**3)) / _LN10 if a < 1 else -math.inf
     log10_pair = math.log10(3.0) + n * math.log1p(-(a**2) * (1.0 - a)) / _LN10
-    return LogMagnitude.from_log10(_log10_sum([log10_all_ones, log10_pair]))
+    return LogMagnitude(_log10_sum([log10_all_ones, log10_pair]))
 
 
 def lll_max_rows(p: LogMagnitude) -> LogMagnitude:
@@ -86,7 +86,7 @@ def lll_max_rows(p: LogMagnitude) -> LogMagnitude:
     """
     if p.is_zero:
         raise ValueError("zero deficiency probability gives an unbounded m")
-    return LogMagnitude.from_log10(LOG10_LLL_CONST - 0.5 * p.log10)
+    return LogMagnitude(LOG10_LLL_CONST - 0.5 * p.log10)
 
 
 def zeta(alpha: float, n: int) -> LogMagnitude:
@@ -192,7 +192,7 @@ def p_fixed_log10(n: int, r: int) -> LogMagnitude:
 
     lo, hi = _overlaps(n, r)
     terms = _near_peak(phi, lo, hi) + _near_peak(psi, lo, r)
-    return LogMagnitude.from_log10(_log10_sum(terms))
+    return LogMagnitude(_log10_sum(terms))
 
 
 def _near_peak(f, lo: int, hi: int) -> list[float]:
@@ -341,7 +341,7 @@ def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitud
         a = float(alpha)
         profile = asymptotic_profile(a)
         log10_m = -0.25 * math.log10(n) - 0.5 * n * math.log10(profile.mu)
-        return LogMagnitude.from_log10(log10_m)
+        return LogMagnitude(log10_m)
     if mode == "exact-sum":
         r_exact = Fraction(alpha) * n
         if r_exact.denominator != 1:
@@ -352,7 +352,7 @@ def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitud
         if p.log10 > 0.0:
             # Union bound above 1 carries no information; clamping keeps
             # the inverted bound non-trivial-free (floors to zero rows).
-            p = LogMagnitude.from_log10(0.0)
+            p = LogMagnitude(0.0)
         return lll_max_rows(p)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -13,6 +13,7 @@ which compiles every module imported, is most of their time.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -129,8 +130,22 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         print(f"{args.path}: input passes the limit of {limit} bytes", file=sys.stderr)
         return 2
     try:
-        array = parse_array(text)
         patterns = GEKR if args.patterns is None else PatternSet.from_text(args.patterns)
+    except ValueError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    # An input with more rows than the scan takes at the first row's
+    # width is refused before it is parsed: the row lines, neither blank
+    # nor comments, are counted up to the first past the limit.
+    n = 0
+    try:
+        for m, row in enumerate(re.finditer(r"^[^\S\n]*([^#\s][^\n]*)", text, re.M), start=1):
+            n = n or len(row[1].rstrip())
+            verify.scan_bytes(m, n, patterns)
+    except ValueError as exc:
+        parser.error(f"{args.path}: the first {exc}")
+    try:
+        array = parse_array(text)
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -237,7 +237,10 @@ def greedy_extend(
 
 def run(config: ConstructionConfig) -> ConstructionResult:
     """Dispatch on strategy.  Greedy always succeeds (possibly with few
-    rows), ignores max_resamples, and reports zero resampling steps."""
+    rows), ignores max_resamples, and reports zero resampling steps; the
+    others refuse m >= 3 at density 1 before any draw, as no redraw helps."""
+    if config.params.alpha == 1 and config.m >= 3 and config.strategy is not Strategy.GREEDY:
+        raise ValueError(f"m={config.m} is out of reach at density 1: all-ones rows never cover 011")
     if config.strategy is Strategy.MOSER_TARDOS:
         return moser_tardos(config)
     if config.strategy is Strategy.REJECTION:

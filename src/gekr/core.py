@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 Pattern = tuple[int, int, int]
 
@@ -89,6 +89,10 @@ class LogMagnitude:
 
     log10: float
 
+    def __post_init__(self) -> None:
+        if math.isnan(self.log10):
+            raise ValueError("log10 must not be NaN")
+
     @property
     def is_zero(self) -> bool:
         return self.log10 == -math.inf
@@ -98,12 +102,6 @@ class LogMagnitude:
         return cls(-math.inf)
 
     @classmethod
-    def from_log10(cls, log10: float) -> "LogMagnitude":
-        if math.isnan(log10):
-            raise ValueError("log10 must not be NaN")
-        return cls(log10)
-
-    @classmethod
     def from_fraction(cls, value: Fraction) -> "LogMagnitude":
         """Exact rational to log magnitude; safe for huge numerators."""
         if value < 0:
@@ -111,34 +109,30 @@ class LogMagnitude:
         if value == 0:
             return cls.zero()
         # math.log10 accepts arbitrarily large ints without overflow.
-        return cls.from_log10(
-            math.log10(value.numerator) - math.log10(value.denominator)
-        )
+        return cls(math.log10(value.numerator) - math.log10(value.denominator))
 
-    def scientific(self, digits: int = 3) -> tuple[float, int]:
-        """Mantissa in [1, 10) and exponent, mantissa rounded to
-        `digits` significant digits.  Rounding that reaches 10.0 bumps
-        the exponent instead, so 9.998 at 3 digits becomes (1.0, e+1).
+    def scientific(self) -> tuple[float, int]:
+        """Mantissa in [1, 10) and exponent, mantissa rounded to three
+        significant digits.  Rounding that reaches 10.0 bumps the
+        exponent instead, so 9.998 becomes (1.0, e+1).
         """
         if self.is_zero:
             raise ValueError("zero has no scientific mantissa/exponent")
         exponent = math.floor(self.log10)
         mantissa = 10.0 ** (self.log10 - exponent)
-        mantissa = round(mantissa, digits - 1)
+        mantissa = round(mantissa, 2)
         if mantissa >= 10.0:
             mantissa /= 10.0
             exponent += 1
         return mantissa, exponent
 
 
-def render_magnitude(value: LogMagnitude, digits: int = 3) -> str:
-    """Format as "2.26e289" with `digits` significant digits; zero is "0"."""
-    if digits < 1:
-        raise ValueError("digits must be at least 1")
+def render_magnitude(value: LogMagnitude) -> str:
+    """Format as "2.26e289", three significant digits; zero is "0"."""
     if value.is_zero:
         return "0"
-    mantissa, exponent = value.scientific(digits)
-    return f"{mantissa:.{digits - 1}f}e{exponent}"
+    mantissa, exponent = value.scientific()
+    return f"{mantissa:.2f}e{exponent}"
 
 
 class Model(Enum):
@@ -241,23 +235,15 @@ class ArrayMatrix:
         return "\n".join(format(row, f"0{self.n}b")[::-1] for row in self.rows) + "\n"
 
 
-def pack_row(bits: Sequence[int] | str) -> int:
-    """Pack a 0/1 sequence (or '0'/'1' string) into a row integer."""
-    if isinstance(bits, str):
-        bad = bits.replace("0", "").replace("1", "")
-        if bad:
-            raise ValueError(f"bad character {bad[0]!r} in row")
-        return int(bits[::-1], 2) if bits else 0
-    packed = 0
-    for j, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bad column value {bit!r} in row")
-        if bit:
-            packed |= 1 << j
-    return packed
+def pack_row(bits: str) -> int:
+    """Pack a '0'/'1' string, column 0 first, into a row integer."""
+    bad = bits.replace("0", "").replace("1", "")
+    if bad:
+        raise ValueError(f"bad character {bad[0]!r} in row")
+    return int(bits[::-1], 2) if bits else 0
 
 
-def parse_array(text: str | bytes) -> ArrayMatrix:
+def parse_array(text: str) -> ArrayMatrix:
     """Parse the textual array format.
 
     One row per line of '0'/'1' characters; lines starting with '#' are
@@ -265,8 +251,6 @@ def parse_array(text: str | bytes) -> ArrayMatrix:
     have the same length.  If every row has the same number of ones,
     declared_weight is set to that count.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     rows: list[int] = []
     n: int | None = None
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -56,20 +56,20 @@ class TestPIndependent:
 
 class TestLLLInversion:
     def test_quarter_probability_two_rows(self):
-        p = LogMagnitude.from_log10(math.log10(2.0 / (3.0 * bounds.E_EULER * 4.0)))
+        p = LogMagnitude(math.log10(2.0 / (3.0 * bounds.E_EULER * 4.0)))
         assert bounds.lll_max_rows(p).log10 == pytest.approx(math.log10(2.0))
 
     def test_probability_one_no_guarantee(self):
         # p >= 2/(3e) means the bound is below 1: no nontrivial rows.
         for p_val in (2.0 / (3.0 * bounds.E_EULER), 0.9, 1.0):
-            m = bounds.lll_max_rows(LogMagnitude.from_log10(math.log10(p_val)))
+            m = bounds.lll_max_rows(LogMagnitude(math.log10(p_val)))
             assert m.log10 <= math.log10(1.0 + 1e-12)
 
     def test_pure_formula_above_one(self):
         # lll_max_rows itself does not clamp; only the exact-sum bound
         # inversion does.  Larger p always means a smaller formula value.
-        over = bounds.lll_max_rows(LogMagnitude.from_log10(math.log10(3.0)))
-        at_one = bounds.lll_max_rows(LogMagnitude.from_log10(0.0))
+        over = bounds.lll_max_rows(LogMagnitude(math.log10(3.0)))
+        at_one = bounds.lll_max_rows(LogMagnitude(0.0))
         assert over.log10 < at_one.log10
 
     def test_zero_probability_rejected(self):
@@ -77,11 +77,11 @@ class TestLLLInversion:
             bounds.lll_max_rows(LogMagnitude.zero())
 
     def test_floor_rows(self):
-        assert bounds.floor_rows(LogMagnitude.from_log10(math.log10(3.18))) == 3
+        assert bounds.floor_rows(LogMagnitude(math.log10(3.18))) == 3
         assert bounds.floor_rows(LogMagnitude.zero()) == 0
-        assert bounds.floor_rows(LogMagnitude.from_log10(math.log10(2.0))) == 2
+        assert bounds.floor_rows(LogMagnitude(math.log10(2.0))) == 2
         with pytest.raises(OverflowError):
-            bounds.floor_rows(LogMagnitude.from_log10(25.0))
+            bounds.floor_rows(LogMagnitude(25.0))
 
 
 class TestZeta:

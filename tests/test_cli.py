@@ -124,6 +124,16 @@ print(code, time.perf_counter() - start)
 """
 
 
+def timed_main(*argv: str) -> subprocess.CompletedProcess:
+    """TIMED_MAIN in a fresh process, so that a hang times out."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+
+
 @pytest.mark.parametrize(
     "value, message",
     [("1e-30000000", "density 1e-30000000 underflows a float"),
@@ -138,16 +148,31 @@ print(code, time.perf_counter() - start)
 )
 def test_density_exponent_refused_unexpanded(argv, value, message):
     # Fraction("1e-30000000") would build 10**30000000; the range check
-    # reads the exponent first.  A fresh process, so that a hang times out.
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", TIMED_MAIN, *argv, value], capture_output=True, text=True, env=env, timeout=20
-    )
+    # reads the exponent first.
+    proc = timed_main(*argv, value)
     code, seconds = proc.stdout.split()
     assert code == "2" and float(seconds) < 1.0
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("strategy", ["moser-tardos", "rejection", "greedy"])
+@pytest.mark.parametrize(
+    "model",
+    [["--model", "independent", "--alpha", "1"], ["--model", "fixed", "--k", "4"]],
+    ids=["independent", "fixed"],
+)
+def test_density_one_refused_before_resampling(model, strategy):
+    # At density 1 every row is all ones and no three cover 011, so the
+    # resampling strategies are refused before any draw, not after the
+    # default 1,000,000 resamples; greedy stops at two rows.
+    proc = timed_main("construct", *model, "--n", "4", "--m", "3", "--strategy", strategy)
+    *rows, last = proc.stdout.splitlines()
+    code, seconds = last.split()
+    if strategy == "greedy":
+        assert (code, rows) == ("0", ["1111", "1111"])
+    else:
+        assert (code, rows) == ("2", []) and float(seconds) < 1.0
+        assert "m=3 is out of reach at density 1" in proc.stderr
 
 
 class TestTable:
@@ -267,6 +292,30 @@ class TestVerify:
         assert cli(["verify", str(path)])[:2] == (0, "ok: all 0 triples covered\n")
         assert cli(["verify", "-"], stdin_text=text)[:2] == (0, "ok: all 0 triples covered\n")
 
+    def test_rows_past_scan_limit_refused_before_parse(self, cli, tmp_path, monkeypatch):
+        # 7,600 rows of 62 columns, 474 KB, pass no byte limit, but the
+        # scan takes at most 7,528 such rows: the row count stops at the
+        # first past that, and no row is parsed.
+        text = ("1" * 43 + "0" * 19 + "\n") * 7600
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+
+        def no_parse(text):
+            raise AssertionError("the rows were parsed")
+
+        monkeypatch.setattr(cli_module, "parse_array", no_parse)
+        for argv, stdin_text in ((["verify", str(path)], None), (["verify", "-"], text)):
+            code, out, err = cli(argv, stdin_text=stdin_text)
+            assert (code, out) == (2, "")
+            assert "the first 7529 rows need" in err and "past the limit of 1073741824" in err
+
+    def test_comments_and_blanks_are_not_rows(self, cli):
+        # 15,005 lines, past the 7,528 rows the scan takes at 62 columns,
+        # but 5 of them rows: scanned, not refused.
+        text = "# comment\n\n" * 5000 + "  \r\n" * 5000 + ("1" * 43 + "0" * 19 + "\n") * 5
+        code, out, _ = cli(["verify", "-"], stdin_text=text)
+        assert (code, out) == (1, "deficient: 10 of 10 triples\n")
+
     def test_parse_error(self, cli):
         code, _, err = cli(["verify", "-"], stdin_text="110\n1100\n")
         assert code == 2
@@ -312,7 +361,7 @@ class TestConstruct:
 
     def test_failure_exit_one(self, cli):
         code, _, err = cli(
-            ["construct", "--model", "fixed", "--k", "6", "--n", "6", "--m", "3", "--max-resamples", "25"]
+            ["construct", "--model", "fixed", "--k", "1", "--n", "2", "--m", "3", "--max-resamples", "25"]
         )
         assert code == 1
         assert "failed" in err
@@ -320,7 +369,7 @@ class TestConstruct:
     def test_progress_on_stderr(self, cli, monkeypatch, caplog):
         monkeypatch.setattr(construct, "PROGRESS_EVERY", 10)
         code, _, err = cli(
-            ["construct", "--model", "fixed", "--k", "6", "--n", "6", "--m", "3", "--max-resamples", "25"]
+            ["construct", "--model", "fixed", "--k", "1", "--n", "2", "--m", "3", "--max-resamples", "25"]
         )
         assert code == 1
         lines = [line for line in err.splitlines() if line.startswith("resamples:")]

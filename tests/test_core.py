@@ -27,29 +27,22 @@ class TestLogMagnitude:
         assert z.log10 == -math.inf
 
     def test_from_float_round_trip(self):
-        v = LogMagnitude.from_log10(math.log10(226.0))
+        v = LogMagnitude(math.log10(226.0))
         assert 10.0**v.log10 == pytest.approx(226.0)
 
     def test_render_known_value(self):
-        v = LogMagnitude.from_log10(289.35351202229026)
+        v = LogMagnitude(289.35351202229026)
         assert render_magnitude(v) == "2.26e289"
 
     def test_render_negative_exponent(self):
-        v = LogMagnitude.from_log10(-695.88216)
+        v = LogMagnitude(-695.88216)
         assert render_magnitude(v) == "1.31e-696"
 
     def test_render_mantissa_rollover(self):
         # 9.997e5 rounds to 10.0 at three digits, which must bump the
         # exponent rather than print "10.00e5".
-        v = LogMagnitude.from_log10(math.log10(9.997e5))
+        v = LogMagnitude(math.log10(9.997e5))
         assert render_magnitude(v) == "1.00e6"
-
-    def test_render_digits_control(self):
-        v = LogMagnitude.from_log10(math.log10(12345.0))
-        assert render_magnitude(v, digits=2) == "1.2e4"
-        assert render_magnitude(v, digits=5) == "1.2345e4"
-        with pytest.raises(ValueError):
-            render_magnitude(v, digits=0)
 
     def test_from_fraction_huge(self):
         v = LogMagnitude.from_fraction(Fraction(10**500, 3))
@@ -57,28 +50,29 @@ class TestLogMagnitude:
         assert LogMagnitude.from_fraction(Fraction(0)).is_zero
 
     def test_ordering(self):
-        small = LogMagnitude.from_log10(-300.0)
-        big = LogMagnitude.from_log10(1e6)
+        small = LogMagnitude(-300.0)
+        big = LogMagnitude(1e6)
         assert LogMagnitude.zero() < small < big
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            LogMagnitude.from_log10(math.nan)
+            LogMagnitude(math.nan)
 
     @given(st.floats(min_value=-5000, max_value=5000, allow_nan=False))
     def test_render_parse_round_trip(self, log10):
-        v = LogMagnitude.from_log10(log10)
-        mantissa, _, exponent = render_magnitude(v, digits=6).partition("e")
+        v = LogMagnitude(log10)
+        mantissa, _, exponent = render_magnitude(v).partition("e")
         back = math.log10(float(mantissa)) + int(exponent)
-        # Six significant digits keep the log within ~5e-7.
-        assert abs(back - v.log10) < 1e-5
+        # Three significant digits keep the mantissa within 0.005 of a
+        # value of at least 1, so the log within log10(1.005) = 2.17e-3.
+        assert abs(back - v.log10) < 2.2e-3
 
     @given(
         st.floats(min_value=-1000, max_value=1000, allow_nan=False),
         st.floats(min_value=-1000, max_value=1000, allow_nan=False),
     )
     def test_ordering_matches_log10(self, x, y):
-        assert (LogMagnitude.from_log10(x) < LogMagnitude.from_log10(y)) == (x < y)
+        assert (LogMagnitude(x) < LogMagnitude(y)) == (x < y)
 
 
 class TestPatternSet:
@@ -110,11 +104,9 @@ class TestArrayMatrix:
     def test_pack_row(self):
         # Column 0 is the least significant bit.
         assert pack_row("110") == 0b011
-        assert pack_row([1, 0, 1]) == 0b101
+        assert pack_row("") == 0
         with pytest.raises(ValueError):
             pack_row("1x0")
-        with pytest.raises(ValueError):
-            pack_row([0, 2])
 
     def test_parse_round_trip(self):
         text = "1110\n1101\n1011\n"
@@ -129,9 +121,6 @@ class TestArrayMatrix:
         assert arr.m == 2
         assert arr.rows == (0b01, 0b10)
         assert arr.declared_weight == 1
-
-    def test_parse_bytes(self):
-        assert parse_array(b"11\n00\n").m == 2
 
     def test_parse_mixed_weights(self):
         assert parse_array("110\n100\n").declared_weight is None

@@ -257,6 +257,98 @@ def test_every_public_definition_is_named_elsewhere():
     assert unnamed == []
 
 
+def optional_parameters(body) -> list[tuple[str, str, int | None]]:
+    """(called name, parameter, position or None if keyword-only) for
+    every optional parameter of a public function, method or __init__,
+    and every dataclass field with a default, in a module body.  A
+    method is called by its own name, __init__ and the fields by the
+    class name; positions leave out self and cls."""
+    found = []
+
+    def add(called, node, skip_first):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args][skip_first:]
+        for name in positional[len(positional) - len(args.defaults):]:
+            found.append((called, name, positional.index(name)))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((called, arg.arg, None))
+
+    for top in body:
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+            add(top.name, top, 0)
+        if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+            continue
+        for member in top.body:
+            if not isinstance(member, ast.FunctionDef):
+                continue
+            static = any(ast.unparse(d) == "staticmethod" for d in member.decorator_list)
+            if member.name == "__init__":
+                add(top.name, member, 1)
+            elif not member.name.startswith("_"):
+                add(member.name, member, 0 if static else 1)
+        if any("dataclass" in ast.unparse(d) for d in top.decorator_list):
+            fields = [s for s in top.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            found += [(top.name, s.target.id, k) for k, s in enumerate(fields) if s.value is not None]
+    return found
+
+
+def test_every_optional_parameter_is_passed_elsewhere():
+    # An optional parameter of a public function or method, or a
+    # dataclass field with a default, must be passed, by keyword or by
+    # position, by some call in the package, in scripts/, in perfbench/
+    # or in the paper-reproduction tests: an option that only its own
+    # unit tests set is one nothing needs.  Calls match by the called
+    # name alone, cls(...) by its class; a *args or **kwargs call passes
+    # everything.
+    outside = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    outside.append(ROOT / "tests" / "test_acceptance.py")
+    calls: dict[str, list[ast.Call]] = {}
+    for path in outside:
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): top.name
+            for top in ast.walk(tree) if isinstance(top, ast.ClassDef)
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func).split(".")[-1]
+                if name == "cls":
+                    name = owner.get(id(node), name)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, name: str, position: int | None) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        keywords = {kw.arg for kw in call.keywords}
+        return name in keywords or None in keywords or position is not None and len(call.args) > position
+
+    probe = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "class C:\n    def g(self, x, y=0): pass\n"
+        "@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+    )
+    assert optional_parameters(ast.parse(probe).body) == [
+        ("f", "b", 1), ("f", "c", None), ("g", "y", 1), ("D", "b", 1)
+    ]
+    found = [
+        (path.stem, *option)
+        for path in sorted(SRC.glob("*.py"))
+        for option in optional_parameters(ast.parse(path.read_text()).body)
+    ]
+    assert len(found) > 15, "wrong source directory"
+    # find_deficient_naive is the reference that the scan's tests compare
+    # against; its patterns option is there for them.
+    unset = [
+        f"{module}.{called}.{name}"
+        for module, called, name, position in found
+        if called != "find_deficient_naive"
+        and not any(passes(call, name, position) for call in calls.get(called, []))
+    ]
+    assert unset == []
+
+
 def test_all_lists_exactly_the_package_imports():
     # __init__ imports lazily from a table of names by defining module: a
     # name deleted from the table but not its module, or listed twice,

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from gekr.bounds import asymptotic_profile, p_independent
-from gekr.optimize import _grid, argmin_independent, argmin_mu, figure_data, golden_section
+from gekr.optimize import _grid, _refine, argmin_independent, argmin_mu, figure_data, golden_section
 
 
 class TestGoldenSection:
     def test_quadratic(self):
-        x = golden_section(lambda t: (t - 2.0) ** 2, 0.0, 5.0, tol=1e-8)
+        x = golden_section(lambda t: (t - 2.0) ** 2, 0.0, 5.0)
         assert x == pytest.approx(2.0, abs=1e-6)
 
     def test_bad_bracket(self):
@@ -51,20 +51,36 @@ class TestArgminMu:
         assert mu_star < asymptotic_profile(0.8).mu
 
     def test_stable_under_grid_halving(self):
-        coarse, _ = argmin_mu(grid_step=1e-4)
-        fine, _ = argmin_mu(grid_step=5e-5)
+        coarse, _ = argmin_mu()
+        fine = _refine(lambda a: asymptotic_profile(a).mu, _grid(5e-5, 1.0 - 5e-5, 5e-5), 1e-9, 1.0)
         assert abs(coarse - fine) < 1e-4
 
-    def test_grid_step_domain(self):
-        with pytest.raises(ValueError):
-            argmin_mu(grid_step=0.5)
+    def test_pinned_bits(self):
+        # The values of the two-branch search that argmin_mu replaced.
+        assert repr(argmin_mu()) == "(0.7395350629777517, 0.7764199260921867)"
+
+
+@pytest.mark.parametrize(
+    "n, alpha_star, log10_p",
+    [
+        (1, 0.9999995458963729, 0.47712125471975203),
+        (100, 0.6666668177012847, -6.486471558688779),
+        (1000, 0.6666668177012847, -69.15880688666316),
+        (10_000, 0.6666668177012847, -695.8821601591085),
+        pytest.param(10**300, 0.6666668177012847, -6.963592814138282e298, id="1e300"),
+    ],
+)
+def test_argmin_independent_pinned_bits(n, alpha_star, log10_p):
+    # The values before _refine evaluated its own grid.
+    found, p_star = argmin_independent(n)
+    assert (found, p_star.log10) == (alpha_star, log10_p)
 
 
 class TestGrid:
     @staticmethod
     def ends(step):
         """The (a, b) that figure_data and argmin_mu put on a step grid."""
-        return [(0.0, 1.0 - step), (step, 1.0), (0.0, 1.0), (0.70, 0.78), (0.5 + step, 1.0 - step), (step, 0.5)]
+        return [(0.0, 1.0 - step), (step, 1.0), (0.0, 1.0), (0.70, 0.78), (step, 1.0 - step)]
 
     def test_ends_at_most_one_step_below_upper_end(self):
         steps = [1e-4 + k * (0.1 - 1e-4) / 2000 for k in range(2001)]
@@ -79,8 +95,7 @@ class TestGrid:
         # Whole step counts keep both ends, as the pinned figures need.
         for (a, b, step), size in {
             (0.001, 0.999, 0.001): 999,
-            (0.5 + 1e-4, 1.0 - 1e-4, 1e-4): 4999,
-            (1e-4, 0.5, 1e-4): 5000,
+            (1e-4, 1.0 - 1e-4, 1e-4): 9999,
             (0.0, 1.0 - 0.005, 0.005): 200,
             (0.005, 1.0, 0.005): 200,
             (0.0, 1.0, 0.005): 201,
