@@ -13,7 +13,7 @@ _HOMES = {
     " lll_max_rows nu p_fixed_exact p_independent sigma1 sigma2 zeta",
     "construct": "ConstructionConfig ConstructionResult greedy_extend moser_tardos"
     " rejection sample_rows",
-    "core": "GEKR ArrayMatrix DeficiencyReport LogMagnitude Model ModelParams Pattern"
+    "core": "GEKR ArrayMatrix DeficiencyReport LogMagnitude ModelParams Pattern"
     " PatternSet Strategy pack_row parse_alpha parse_array render_magnitude",
     "exact": "MaxFamilyResult enumerate_missing_prob max_family witness_matrix",
     "optimize": "FigureTable argmin_independent argmin_mu figure_data",

@@ -263,7 +263,6 @@ class AsymptoticProfile:
     that they are None and mu = theta.
     """
 
-    alpha: float
     beta: float | None
     kappa: float
     xi: float | None
@@ -315,14 +314,7 @@ def asymptotic_profile(alpha: float) -> AsymptoticProfile:
     theta = math.exp(log_theta)
 
     mu = xi if (a <= 0.5 and xi is not None) else theta
-    return AsymptoticProfile(
-        alpha=a,
-        beta=beta,
-        kappa=kappa,
-        xi=xi,
-        theta=theta,
-        mu=mu,
-    )
+    return AsymptoticProfile(beta=beta, kappa=kappa, xi=xi, theta=theta, mu=mu)
 
 
 def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitude:

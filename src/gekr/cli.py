@@ -13,10 +13,10 @@ which compiles every module imported, is most of their time.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import TextIO
 
 from .core import GEKR, ModelParams, PatternSet, Strategy, parse_alpha, parse_array, render_magnitude
 
@@ -105,6 +105,34 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_rows(
+    parser: argparse.ArgumentParser, path: str, stream: TextIO, patterns: PatternSet
+) -> str | None:
+    """The text of stream, read line by line, or None once it passes
+    verify.MAX_BLOCK_BYTES: each line read is capped at what is left of
+    that limit.  The row lines, neither blank nor comments, are counted
+    as they come, and the first past what the scan takes at the first
+    row's width is a usage error, before the rest is read or any row
+    parsed."""
+    from . import verify
+
+    limit = verify.MAX_BLOCK_BYTES
+    lines: list[str] = []
+    size = m = n = 0
+    while line := stream.readline(limit + 1 - size):
+        if (size := size + len(line)) > limit:
+            return None
+        lines.append(line)
+        if (row := line.strip()) and not row.startswith("#"):
+            m += 1
+            n = n or len(row)
+            try:
+                verify.scan_bytes(m, n, patterns)
+            except ValueError as exc:
+                parser.error(f"{path}: the first {exc}")
+    return "".join(lines)
+
+
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -112,38 +140,28 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
     if args.workers is not None and args.workers < 1:
         parser.error(f"workers must be at least 1, got {args.workers}")
-    # An input past the scan's own byte limit is refused before it is
-    # read: a file by its size, stdin once that many bytes have come.
-    limit = verify.MAX_BLOCK_BYTES
-    try:
-        if args.path == "-":
-            text = sys.stdin.read(limit + 1)
-        elif Path(args.path).stat().st_size > limit:
-            text = None
-        else:
-            with open(args.path) as stream:
-                text = stream.read(limit + 1)
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if text is None or len(text) > limit:
-        print(f"{args.path}: input passes the limit of {limit} bytes", file=sys.stderr)
-        return 2
     try:
         patterns = GEKR if args.patterns is None else PatternSet.from_text(args.patterns)
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    # An input with more rows than the scan takes at the first row's
-    # width is refused before it is parsed: the row lines, neither blank
-    # nor comments, are counted up to the first past the limit.
-    n = 0
+    # An input past the scan's own byte limit is refused before it is
+    # read: a file by its size, stdin once that many bytes have come.
+    limit = verify.MAX_BLOCK_BYTES
     try:
-        for m, row in enumerate(re.finditer(r"^[^\S\n]*([^#\s][^\n]*)", text, re.M), start=1):
-            n = n or len(row[1].rstrip())
-            verify.scan_bytes(m, n, patterns)
-    except ValueError as exc:
-        parser.error(f"{args.path}: the first {exc}")
+        if args.path == "-":
+            text = _read_rows(parser, args.path, sys.stdin, patterns)
+        elif Path(args.path).stat().st_size > limit:
+            text = None
+        else:
+            with open(args.path) as stream:
+                text = _read_rows(parser, args.path, stream, patterns)
+    except OSError as exc:
+        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
+        return 2
+    if text is None:
+        print(f"{args.path}: input passes the limit of {limit} bytes", file=sys.stderr)
+        return 2
     try:
         array = parse_array(text)
     except ValueError as exc:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import ArrayMatrix, Model, ModelParams, PatternSet, Strategy, gekr_patterns
+from .core import ArrayMatrix, ModelParams, PatternSet, Strategy, gekr_patterns
 from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
 
 #: A progress record goes to the "gekr" logger, at INFO, every this many
@@ -96,13 +96,11 @@ def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
     """One packed row from the model distribution."""
     import numpy as np
 
-    n = params.n
-    if params.model is Model.FIXED_WEIGHT:
+    n, r = params.n, params.r
+    if r is not None:
         # Partial Fisher-Yates on idx = range(n): after r swaps the prefix
         # idx[:r] is a uniform r-subset, using exactly r bounded integer
         # draws.  moved keeps only the entries of idx that swaps changed.
-        r = params.r
-        assert r is not None
         moved: dict[int, int] = {}
         picked = []
         for j, t in enumerate(rng.integers(np.arange(r), n).tolist()):
@@ -115,13 +113,9 @@ def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _declared_weight(params: ModelParams) -> int | None:
-    return params.r if params.model is Model.FIXED_WEIGHT else None
-
-
 def _patterns(params: ModelParams) -> PatternSet:
     """The GEKR patterns that rows of the model can miss."""
-    return gekr_patterns(params.n, _declared_weight(params))
+    return gekr_patterns(params.n, params.r)
 
 
 def sample_rows(params: ModelParams, m: int, seed: int, epoch: int = 0) -> ArrayMatrix:
@@ -129,7 +123,7 @@ def sample_rows(params: ModelParams, m: int, seed: int, epoch: int = 0) -> Array
     rows = tuple(
         _sample_row(params, _row_rng(seed, i, epoch)) for i in range(m)
     )
-    return ArrayMatrix(n=params.n, rows=rows, declared_weight=_declared_weight(params))
+    return ArrayMatrix(n=params.n, rows=rows)
 
 
 def _progress(step: int, start: float) -> None:
@@ -163,11 +157,10 @@ def moser_tardos(config: ConstructionConfig) -> ConstructionResult:
         scan.replace({idx: rows[idx] for idx in bad})
         steps += 1
         _progress(steps, start)
-    array = ArrayMatrix(
-        n=params.n, rows=tuple(rows), declared_weight=_declared_weight(params)
-    )
     return ConstructionResult(
-        array=array, resamples_used=steps, triples_checked=scan.checked
+        array=ArrayMatrix(n=params.n, rows=tuple(rows)),
+        resamples_used=steps,
+        triples_checked=scan.checked,
     )
 
 
@@ -230,9 +223,7 @@ def greedy_extend(
         rows.append(accepted)
         firsts.append(lanes.row(accepted, 0))
 
-    return ArrayMatrix(
-        n=n, rows=tuple(rows), declared_weight=_declared_weight(params)
-    )
+    return ArrayMatrix(n=n, rows=tuple(rows))
 
 
 def run(config: ConstructionConfig) -> ConstructionResult:

@@ -71,7 +71,7 @@ GEKR = PatternSet(frozenset({(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)}))
 def gekr_patterns(n: int, weight: int | None) -> PatternSet:
     """The GEKR patterns that a triple of rows over n columns can miss.
     Three rows of weight r share at least 3r - 2n columns, so when every
-    row has the declared weight r and 3r > 2n, no triple misses 111
+    row has weight r and 3r > 2n, no triple misses 111
     (bounds.sigma1 is 0 there) and only 011, 101 and 110 need testing."""
     if weight is not None and 3 * weight > 2 * n:
         return PatternSet(GEKR.members - {(1, 1, 1)})
@@ -135,13 +135,6 @@ def render_magnitude(value: LogMagnitude) -> str:
     return f"{mantissa:.2f}e{exponent}"
 
 
-class Model(Enum):
-    """How random rows are drawn in the probabilistic bounds."""
-
-    INDEPENDENT = "independent"
-    FIXED_WEIGHT = "fixed-weight"
-
-
 class Strategy(Enum):
     """How construct.run builds an array; the values are the CLI's
     --strategy choices."""
@@ -155,15 +148,14 @@ class Strategy(Enum):
 class ModelParams:
     """Column count plus the row distribution.
 
-    alpha is the density: the per-entry 1-probability in the independent
-    model, or r/n in the fixed-weight model where every row has exactly
-    r ones.  It is kept as an exact Fraction so that r = alpha * n holds
-    without rounding concerns.
+    With r set, the model is fixed-weight: every row has exactly r ones,
+    and alpha is r/n.  Without it, each entry is 1 independently with
+    probability alpha.  alpha is kept as an exact Fraction so that
+    r = alpha * n holds without rounding concerns.
     """
 
     n: int
     alpha: Fraction
-    model: Model
     r: int | None = None
 
     def __post_init__(self) -> None:
@@ -171,38 +163,29 @@ class ModelParams:
             raise ValueError(f"need at least one column, got n={self.n}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.model is Model.FIXED_WEIGHT:
-            if self.r is None:
-                raise ValueError("fixed-weight model needs the row weight r")
+        if self.r is not None:
             if not 0 < self.r <= self.n:
                 raise ValueError(f"need 0 < r <= n, got r={self.r}, n={self.n}")
             if self.alpha != Fraction(self.r, self.n):
                 raise ValueError(
                     f"alpha={self.alpha} does not equal r/n={self.r}/{self.n}"
                 )
-        elif self.r is not None and self.alpha != Fraction(self.r, self.n):
-            raise ValueError("r given but inconsistent with alpha")
 
     @classmethod
     def independent(cls, alpha: Fraction | float | str, n: int) -> "ModelParams":
-        return cls(n=n, alpha=Fraction(alpha), model=Model.INDEPENDENT)
+        return cls(n=n, alpha=Fraction(alpha))
 
     @classmethod
     def fixed_weight(cls, n: int, r: int) -> "ModelParams":
-        return cls(n=n, alpha=Fraction(r, n), model=Model.FIXED_WEIGHT, r=r)
+        return cls(n=n, alpha=Fraction(r, n), r=r)
 
 
 @dataclass(frozen=True)
 class ArrayMatrix:
-    """A binary array: m rows over n columns, rows as packed integers.
-
-    declared_weight, when set, asserts that every row has exactly that
-    many ones; construction routines for the fixed-weight model set it.
-    """
+    """A binary array: m rows over n columns, rows as packed integers."""
 
     n: int
     rows: tuple[int, ...]
-    declared_weight: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -211,13 +194,6 @@ class ArrayMatrix:
         for i, row in enumerate(self.rows):
             if not 0 <= row < limit:
                 raise ValueError(f"row {i} does not fit in {self.n} columns")
-        if self.declared_weight is not None:
-            for i, row in enumerate(self.rows):
-                if row.bit_count() != self.declared_weight:
-                    raise ValueError(
-                        f"row {i} has weight {row.bit_count()}, "
-                        f"declared {self.declared_weight}"
-                    )
 
     @property
     def m(self) -> int:
@@ -248,8 +224,7 @@ def parse_array(text: str) -> ArrayMatrix:
 
     One row per line of '0'/'1' characters; lines starting with '#' are
     comments; blank lines and CR before LF are ignored.  All rows must
-    have the same length.  If every row has the same number of ones,
-    declared_weight is set to that count.
+    have the same length.
     """
     rows: list[int] = []
     n: int | None = None
@@ -266,9 +241,7 @@ def parse_array(text: str) -> ArrayMatrix:
         rows.append(pack_row(line))
     if n is None:
         raise ValueError("no rows: input is empty or all comments")
-    weights = {row.bit_count() for row in rows}
-    declared = weights.pop() if len(weights) == 1 else None
-    return ArrayMatrix(n=n, rows=tuple(rows), declared_weight=declared)
+    return ArrayMatrix(n=n, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

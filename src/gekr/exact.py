@@ -20,11 +20,9 @@ that miss no pattern of core.gekr_patterns:
   kept as bitsets as in BBMC (San Segundo et al., 2011).
 * Row 0, the first weight-k mask, is always chosen.  A column
   permutation maps any family onto one that holds it, so this is exact.
-* The first pass proves the size: it adds candidates from the highest
-  colour down and stops where |S| plus the colour cannot beat the best
-  family so far.  The second adds candidates in ascending order, with
-  the same bound against the proven size, so the first family it
-  completes is the lexicographically first of that size: the witness.
+* One pass adds candidates from the highest colour down and stops where
+  |S| plus the colour cannot beat the best family so far.  The first
+  family of the largest size that it finds is the witness.
 """
 
 from __future__ import annotations
@@ -98,9 +96,9 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
 @dataclass(frozen=True)
 class MaxFamilyResult:
     """size and a witness family of that size; optimal is False when the
-    search hit its node budget before proving the size, which is then
-    only a lower bound.  nodes counts the rows the search added, in both
-    passes; it passes node_limit when the budget ran out."""
+    search hit its node budget before it ended, and the size is then only
+    a lower bound.  nodes counts the rows the search added; it passes
+    node_limit when the budget ran out."""
 
     size: int
     witness: tuple[tuple[int, ...], ...]
@@ -113,7 +111,7 @@ class _BudgetSpent(Exception):
 
 
 def _colour(
-    cands: int, parent: Sequence[int], row: Sequence[int], floor: int = 0
+    cands: int, parent: Sequence[int], row: Sequence[int], floor: int
 ) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """Greedy colouring of the candidate graph whose adjacency is
     parent[u] & row[u] for each candidate u, class by class: each class
@@ -164,34 +162,30 @@ def witness_matrix(n: int, witness: tuple[tuple[int, ...], ...]) -> ArrayMatrix:
         for c in cols:
             row |= 1 << c
         rows.append(row)
-    weights = {len(cols) for cols in witness}
-    declared = weights.pop() if len(weights) == 1 else None
-    return ArrayMatrix(n=n, rows=tuple(rows), declared_weight=declared)
+    return ArrayMatrix(n=n, rows=tuple(rows))
 
 
 def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     """Largest family of weight-k rows over n columns in which every
     row triple realizes all four GEKR patterns, by the clique search of
-    the module docstring.  The witness is the lexicographically first
-    family of that size, with rows numbered in colexicographic order.
+    the module docstring.  The witness is the first family of that size
+    the search finds, its rows in colexicographic order; it need not be
+    the lexicographically first such family.
     ValueError past MAX_FAMILY_CANDIDATES candidates, before any table is built.
 
-    Each row added, in either pass, is a node counted against
-    node_limit.  When the budget runs out in the first pass, which
-    proves the size, the search stops and returns the largest family
-    found, with optimal False.  When it runs out in the second pass,
-    which looks for the lexicographically first family, the size is
-    proven and optimal is True, but the witness is the first pass's
-    family: valid and of that size, but not necessarily the first.
+    Each row added is a node counted against node_limit.  When the budget
+    runs out, the search stops and returns the largest family found, with
+    optimal False.
 
     Families of size <= 2 are vacuously valid (no triples), so the
     answer is at least min(2, C(n, k)).
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    # C(n, k) >= n for k < n, so a large n is refused before comb, whose
-    # time and memory grow with k, runs.
-    if (n > MAX_FAMILY_CANDIDATES and k < n) or (count := comb(n, k)) > MAX_FAMILY_CANDIDATES:
+    # C(n, k) >= n but at k = n, where the masks and the witness still
+    # take time quadratic in n.  So a large n is refused at every k, and
+    # before comb, whose time and memory grow with k, runs.
+    if n > MAX_FAMILY_CANDIDATES or (count := comb(n, k)) > MAX_FAMILY_CANDIDATES:
         raise ValueError(
             f"C({n}, {k}) passes the ceiling of {MAX_FAMILY_CANDIDATES} candidates, "
             f"whose table takes at most {MAX_TABLE_BYTES} bytes"
@@ -222,49 +216,21 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
             chosen.pop()
             cands ^= 1 << v
 
-    def first(chosen: list[int], cands: int, parent: Sequence[int], row: Sequence[int]) -> bool:
-        """Add candidates in ascending order up to the proven size; True
-        once the first family of that size is in chosen."""
-        nonlocal nodes
-        order, adj = _colour(cands, parent, row)
-        # reach[v]: the colours among the candidates from v up.  Classes
-        # fill from the highest candidate down, so that is the most
-        # colour any of them has, and a bound on what a family takes.
-        reach, top = {}, 0
-        for v, colour in sorted(order, reverse=True):
-            reach[v] = top = max(top, colour)
-        for v in sorted(reach):
-            if len(chosen) + reach[v] < size:
-                return False
-            nodes += 1
-            if nodes > node_limit:
-                raise _BudgetSpent
-            chosen.append(v)
-            if len(chosen) == size or first(chosen, cands & adj[v] & -(2 << v), adj, compat[v]):
-                return True
-            chosen.pop()
-        return False
-
-    # Column symmetry maps any family onto one that holds row 0, and the
-    # first family of a size holds row 0 as well.  Any row may follow
-    # row 0, and any two may follow it together if compat[0] allows.
-    root = ((1 << count) - 2, [-1] * count, compat[0])
+    # Column symmetry maps any family onto one that holds row 0.  Any row
+    # may follow row 0, and any two may follow it together if compat[0]
+    # allows.
     optimal = False
     try:
-        grow([0], *root)
+        grow([0], (1 << count) - 2, [-1] * count, compat[0])
         optimal = True
-        if (size := len(best)) > 2:
-            witness = [0]
-            first(witness, *root)
-            best = witness
     except _BudgetSpent:
         pass
-    # grow and first hold themselves through their closures; deleting
-    # them frees the table now rather than at a full garbage collection.
-    del grow, first
+    # grow holds itself through its closure; deleting it frees the table
+    # now rather than at a full garbage collection.
+    del grow
     return MaxFamilyResult(
         size=len(best),
-        witness=tuple(tuple(j for j in range(n) if (masks[i] >> j) & 1) for i in best),
+        witness=tuple(tuple(j for j in range(n) if (masks[i] >> j) & 1) for i in sorted(best)),
         optimal=optimal,
         nodes=nodes,
     )

@@ -309,6 +309,16 @@ class TestVerify:
             assert (code, out) == (2, "")
             assert "the first 7529 rows need" in err and "past the limit of 1073741824" in err
 
+    def test_rows_past_scan_limit_stop_the_read(self, cli, monkeypatch):
+        # 20,000 rows of 62 columns, 1.26 MB, on stdin: the read stops at
+        # row 7,529, some 474 KB in, and the rest is never read.
+        stdin = io.StringIO(("1" * 43 + "0" * 19 + "\n") * 20_000)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = cli(["verify", "-"])
+        assert (code, out) == (2, "")
+        assert "the first 7529 rows need" in err
+        assert stdin.tell() < 500_000
+
     def test_comments_and_blanks_are_not_rows(self, cli):
         # 15,005 lines, past the 7,528 rows the scan takes at 62 columns,
         # but 5 of them rows: scanned, not refused.
@@ -331,7 +341,7 @@ class TestConstruct:
         assert code == 0
         arr = parse_array(out)
         assert arr.m == 3
-        assert arr.declared_weight == 14
+        assert set(arr.weights()) == {14}
         assert is_gekr(arr)
 
     def test_pipeline_into_verify(self, cli):
@@ -472,7 +482,7 @@ class TestMaxFamily:
         assert lines[1] == "optimal: true"
         witness = parse_array("\n".join(lines[2:]) + "\n")
         assert witness.m == 2
-        assert witness.declared_weight == 2
+        assert set(witness.weights()) == {2}
 
     def test_witness_verifies(self, cli):
         code, out, err = cli(["maxfamily", "--n", "6", "--k", "3"])

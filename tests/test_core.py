@@ -9,7 +9,6 @@ from gekr.core import (
     GEKR,
     ArrayMatrix,
     LogMagnitude,
-    Model,
     ModelParams,
     PatternSet,
     pack_row,
@@ -113,17 +112,17 @@ class TestArrayMatrix:
         arr = parse_array(text)
         assert arr.m == 3
         assert arr.n == 4
-        assert arr.declared_weight == 3
+        assert set(arr.weights()) == {3}
         assert arr.to_text() == text
 
     def test_parse_comments_blanks_crlf(self):
         arr = parse_array("# header\r\n10\r\n\r\n01")
         assert arr.m == 2
         assert arr.rows == (0b01, 0b10)
-        assert arr.declared_weight == 1
+        assert set(arr.weights()) == {1}
 
     def test_parse_mixed_weights(self):
-        assert parse_array("110\n100\n").declared_weight is None
+        assert set(parse_array("110\n100\n").weights()) == {1, 2}
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -138,8 +137,6 @@ class TestArrayMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
             ArrayMatrix(n=2, rows=(4,))
-        with pytest.raises(ValueError):
-            ArrayMatrix(n=3, rows=(0b111,), declared_weight=2)
         with pytest.raises(ValueError):
             ArrayMatrix(n=0, rows=())
 
@@ -172,7 +169,6 @@ class TestModelParams:
     def test_independent(self):
         p = ModelParams.independent("2/3", 30)
         assert p.alpha == Fraction(2, 3)
-        assert p.model is Model.INDEPENDENT
         assert p.r is None
 
     def test_fixed_weight(self):
@@ -195,11 +191,11 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams.fixed_weight(10, 11)
         with pytest.raises(ValueError):
-            ModelParams(n=10, alpha=Fraction(1, 2), model=Model.FIXED_WEIGHT)
+            ModelParams(n=10, alpha=Fraction(1, 2), r=0)
 
     def test_alpha_weight_consistency(self):
         with pytest.raises(ValueError):
-            ModelParams(n=10, alpha=Fraction(1, 3), model=Model.FIXED_WEIGHT, r=5)
+            ModelParams(n=10, alpha=Fraction(1, 3), r=5)
 
 
 def test_parse_alpha():

@@ -370,3 +370,49 @@ def test_all_lists_exactly_the_package_imports():
     assert set(gekr.__all__) <= set(dir(gekr))
     with pytest.raises(AttributeError):
         gekr.no_such_name
+
+
+def attribute_reads(tree) -> set[tuple[str | None, str]]:
+    """(enclosing top-level class or None, attribute) for every attribute
+    read in a module tree."""
+    reads = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        reads |= {
+            (owner, node.attr)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return reads
+
+
+def test_every_dataclass_field_is_read_elsewhere():
+    # A dataclass field must be read as an attribute outside its own
+    # class: in the package, in scripts/, in perfbench/ or in the
+    # paper-reproduction tests.  A field that only its own class reads is
+    # state nothing needs.  Reads match by attribute name alone, so a
+    # field named like another attribute that is read (alpha, n) passes
+    # whether or not anything reads it.
+    outside = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    outside.append(ROOT / "tests" / "test_acceptance.py")
+    reads = {("", attr) for path in outside for _, attr in attribute_reads(ast.parse(path.read_text()))}
+    fields = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads |= {(f"{path.stem}.{owner}", attr) for owner, attr in attribute_reads(tree)}
+        fields += [
+            (f"{path.stem}.{top.name}", stmt.target.id)
+            for top in tree.body
+            if isinstance(top, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in top.decorator_list)
+            for stmt in top.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+    assert len(fields) > 15, "wrong source directory"
+    # ConstructionResult.triples_checked is exempt: ROADMAP items 1 and 5
+    # plan its readers, the per-layer triple counts of a construction.
+    unread = [
+        f"{cls}.{name}"
+        for cls, name in fields
+        if name != "triples_checked" and not any(attr == name and where != cls for where, attr in reads)
+    ]
+    assert unread == []

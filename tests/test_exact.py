@@ -91,7 +91,7 @@ class TestMaxFamily:
         for n, k in [(5, 3), (6, 3), (7, 4)]:
             result = max_family(n, k)
             matrix = witness_matrix(n, result.witness)
-            assert matrix.declared_weight == k
+            assert set(matrix.weights()) == {k}
             assert is_gekr(matrix)
 
     def test_stable_across_runs(self):
@@ -116,13 +116,15 @@ class TestMaxFamily:
         assert exact._table_bytes(MAX_FAMILY_CANDIDATES) <= MAX_TABLE_BYTES
         assert exact._table_bytes(MAX_FAMILY_CANDIDATES + 1) > MAX_TABLE_BYTES
         past = MAX_FAMILY_CANDIDATES + 1
-        assert max_family(past, past).size == 1  # C(n, n) = 1 at any n
 
         def unexpected(*args):
             raise AssertionError("work done past the ceiling")
 
+        monkeypatch.setattr(exact, "_subset_masks", unexpected)
         monkeypatch.setattr(exact, "_compat_table", unexpected)
-        for n, k in [(past, 1), (47, 2)]:  # C(47, 2) = 1081
+        # C(n, n) = 1, but its mask and witness take time quadratic in n:
+        # n columns past the ceiling are refused at every k.
+        for n, k in [(past, 1), (past, past), (47, 2)]:  # C(47, 2) = 1081
             with pytest.raises(ValueError, match="ceiling"):
                 max_family(n, k)
         # comb(10^300, 10^4) alone takes seconds; a large n is refused
@@ -132,9 +134,32 @@ class TestMaxFamily:
             max_family(10**300, 10**4)
 
     def test_nine_six_proven(self):
+        # The first family of 9 rows that the search finds, in colex order.
         result = max_family(9, 6)
         assert (result.size, result.optimal) == (9, True)
+        assert result.witness == (
+            (0, 1, 2, 3, 4, 5),
+            (0, 1, 2, 3, 6, 7),
+            (0, 1, 4, 5, 6, 7),
+            (2, 3, 4, 5, 6, 7),
+            (0, 1, 2, 4, 6, 8),
+            (0, 3, 4, 5, 6, 8),
+            (0, 2, 3, 4, 7, 8),
+            (0, 1, 2, 5, 7, 8),
+            (1, 3, 4, 5, 7, 8),
+        )
         assert not find_deficient_naive(witness_matrix(9, result.witness)).deficient
+
+    @pytest.mark.parametrize(
+        "n,k,want",
+        [(7, 4, (5, True, 12)), (8, 4, (5, True, 15)), (8, 5, (8, True, 170)),
+         (9, 7, (8, True, 178)), (9, 6, (9, True, 30_378))],
+    )
+    def test_size_and_nodes_pinned(self, n, k, want):
+        # Any change in the colouring, the bound or the search order
+        # shows up in the node count.
+        result = max_family(n, k)
+        assert (result.size, result.optimal, result.nodes) == want
 
     def test_budget_keeps_best_family(self):
         # (11, 8) is far from proven in 20,000 nodes, but the colour
@@ -146,7 +171,7 @@ class TestMaxFamily:
         assert result.nodes == 20_001
         assert result.size >= 13
         matrix = witness_matrix(11, result.witness)
-        assert (matrix.m, matrix.declared_weight) == (result.size, 8)
+        assert (matrix.m, set(matrix.weights())) == (result.size, {8})
         assert not find_deficient_naive(matrix).deficient
 
     def test_nodes_counted(self):
@@ -154,19 +179,10 @@ class TestMaxFamily:
         small, large = max_family(7, 4), max_family(8, 5)
         assert 0 < small.nodes < large.nodes
         assert max_family(7, 4, node_limit=small.nodes).optimal
-        # At (7, 4) the first pass, which proves the size, ends at node 12
-        # of 16: a size is optimal once that pass ends.
+        # At (7, 4) the search ends at node 12: a size is optimal once
+        # the search ends.
         assert not max_family(7, 4, node_limit=11).optimal
         assert max_family(7, 4, node_limit=12).optimal
-
-    def test_budget_spent_after_proof(self):
-        # At (8, 5) the first pass ends at node 170 and both at node 287.
-        # The witness is then the first pass's family: valid, full size.
-        result = max_family(8, 5, node_limit=200)
-        assert (result.size, result.optimal, result.nodes) == (8, True, 201)
-        matrix = witness_matrix(8, result.witness)
-        assert (matrix.m, matrix.declared_weight) == (8, 5)
-        assert not find_deficient_naive(matrix).deficient
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -178,7 +194,7 @@ class TestMaxFamily:
 def test_witness_matrix_packing():
     matrix = witness_matrix(4, ((0, 1), (2, 3)))
     assert matrix.rows == (0b0011, 0b1100)
-    assert matrix.declared_weight == 2
+    assert matrix.weights() == (2, 2)
 
 
 # Witnesses max_family returned before its filter moved onto verify.Lanes;

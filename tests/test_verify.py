@@ -101,7 +101,7 @@ class TestFindDeficient:
         for _ in range(50):
             cols = rng.choice(30, size=20, replace=False)
             rows.append(sum(1 << int(c) for c in cols))
-        arr = ArrayMatrix(n=30, rows=tuple(rows), declared_weight=20)
+        arr = ArrayMatrix(n=30, rows=tuple(rows))
         fast = find_deficient(arr)
         naive = find_deficient_naive(arr)
         assert fast.deficient == naive.deficient
