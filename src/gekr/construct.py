@@ -102,14 +102,12 @@ def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
         # idx[:r] is a uniform r-subset, using exactly r bounded integer
         # draws.  moved keeps only the entries of idx that swaps changed.
         moved: dict[int, int] = {}
-        picked = []
+        row = 0
         for j, t in enumerate(rng.integers(np.arange(r), n).tolist()):
-            picked.append(moved.get(t, t))
+            row |= 1 << moved.get(t, t)
             moved[t] = moved.get(j, j)
-        bits = np.zeros(n, dtype=bool)
-        bits[picked] = True
-    else:
-        bits = rng.random(n) < float(params.alpha)
+        return row
+    bits = rng.random(n) < float(params.alpha)
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -192,34 +190,38 @@ def greedy_extend(
 ) -> ArrayMatrix:
     """Grow an array row by row, keeping a candidate only if it creates
     no GEKR-deficient triple with any existing pair.  Stops after
-    attempts_per_row consecutive rejections (or at max_rows).  The
-    result always passes is_gekr by construction.  The last tape of pairs
-    is filled with full lanes, which fail only a candidate failing all.
+    attempts_per_row consecutive rejections, at max_rows, or before the
+    first row whose array verify.scan_bytes refuses.  The result always
+    passes is_gekr by construction.  The open tape of pairs is filled
+    with full lanes, which fail only a candidate failing all.
     """
     n = params.n
     lanes = Lanes(_patterns(params), n)
-    feet = lanes.spread(1, CHUNK)
     rows: list[int] = []
     firsts: list[int] = []  # lane value of every accepted row as a first
-    pairs: list[int] = []  # lane value of every accepted pair
-    chunks: list[tuple[int, int, int]] = []  # pairs[c * CHUNK:(c + 1) * CHUNK] as tape c
+    pairs: list[int] = []  # lane value of every accepted pair of the open tape
+    chunks: list[tuple[int, int, int]] = []  # CHUNK accepted pairs per tape, the open one last
 
     while max_rows is None or len(rows) < max_rows:
         t = len(rows)
+        try:
+            scan_bytes(t + 1, n, lanes.patterns)
+        except ValueError:
+            break
         accepted = None
         for attempt in range(attempts_per_row):
             cand = _sample_row(params, _row_rng(seed, t, attempt))
-            if next(lanes.misses(lanes.row(cand) * feet, chunks), None) is None:
+            if next(lanes.misses(lanes.spread(lanes.row(cand), CHUNK), chunks), None) is None:
                 accepted = cand
                 break
         if accepted is None:
             break
-        start = len(pairs) // CHUNK * CHUNK
+        if pairs:
+            chunks.pop()  # the open tape, built again below
         second = lanes.row(accepted, 1)
-        pairs.extend(first & second for first in firsts)
-        chunks[start // CHUNK :] = [
-            lanes.tape(pairs[c : c + CHUNK], CHUNK) for c in range(start, len(pairs), CHUNK)
-        ]
+        pairs += [first & second for first in firsts]
+        chunks += [lanes.tape(pairs[c : c + CHUNK], CHUNK) for c in range(0, len(pairs), CHUNK)]
+        del pairs[: len(pairs) // CHUNK * CHUNK]
         rows.append(accepted)
         firsts.append(lanes.row(accepted, 0))
 

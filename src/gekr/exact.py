@@ -4,12 +4,13 @@ formula-based modules on instances small enough to enumerate.
 
 max_family treats a GEKR family of weight-k rows as a clique of the
 3-uniform hypergraph on the C(n, k) rows whose edges are the triples
-that miss no pattern of core.gekr_patterns:
+that cover every GEKR pattern:
 
 * The compatibility table is built once: compat[a][b] is a C(n, k)-bit
-  int whose bit c is set iff (a, b, c) is an edge, from one slot test
-  of verify.Lanes.misses per pair.  Edges do not depend on the order of
-  the rows.
+  int whose bit c is set iff (a, b, c), in any order, is an edge.  With
+  holders[j] the rows that hold column j, a third covers 101, 011, 111
+  and 110 against rows x and y iff it is in each OR of holders over
+  x - y, y - x and x & y, and not in their AND over x & y.
 * A node of the search holds the chosen rows S, the candidates C (the
   rows that make an edge with every pair of S, as a bitset) and, for
   each candidate u, adj[u], the AND over a in S of compat[a][u].  Adding
@@ -33,8 +34,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .core import ArrayMatrix, Pattern, gekr_patterns
-from .verify import Lanes
+from .core import ArrayMatrix, Pattern
 
 #: Column-count ceiling for the enumeration oracles.
 MAX_ENUM_N = 8
@@ -135,22 +135,27 @@ def _colour(
     return out, adj
 
 
-def _compat_table(lanes: Lanes, masks: list[int]) -> list[list[int]]:
-    """compat[a][b]: bit c set iff rows a, b and c, in any order, miss
-    no pattern of lanes.  One slot test of the pair (a, b) against the
-    tape of every third finds the c that miss, one bit each."""
+def _compat_table(n: int, masks: list[int]) -> list[list[int]]:
+    """compat[a][b]: bit c set iff rows a, b and c cover every GEKR
+    pattern, from the column sets of the module docstring; 0 for a == b."""
     count = len(masks)
-    every = (1 << count) - 1
-    first = [lanes.row(mask, 0) for mask in masks]
-    second = [lanes.row(mask, 1) for mask in masks]
-    thirds = [lanes.tape([lanes.row(mask) for mask in masks], count)]
+    cols = [[j for j in range(n) if mask >> j & 1] for mask in masks]
+    holders = [sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1) for j in range(n)]
     compat = [[0] * count for _ in range(count)]
-    for a in range(count):
+    for a, x in enumerate(masks):
         for b in range(a + 1, count):
-            ok = every
-            for _, clear in lanes.misses(lanes.spread(first[a] & second[b], count), thirds):
-                ok ^= lanes.slots(clear)
-            compat[a][b] = compat[b][a] = ok
+            both = x & masks[b]
+            only_x, only_y, some, every = 0, 0, 0, -1
+            for j in cols[a]:
+                if both >> j & 1:
+                    some |= holders[j]
+                    every &= holders[j]
+                else:
+                    only_x |= holders[j]
+            for j in cols[b]:
+                if not both >> j & 1:
+                    only_y |= holders[j]
+            compat[a][b] = compat[b][a] = only_x & only_y & some & ~every
     return compat
 
 
@@ -193,7 +198,7 @@ def max_family(n: int, k: int, node_limit: int = 5_000_000) -> MaxFamilyResult:
     if node_limit < 1:
         raise ValueError("node_limit must be positive")
     masks = _subset_masks(n, k)
-    compat = _compat_table(Lanes(gekr_patterns(n, k), n), masks)
+    compat = _compat_table(n, masks)
     best = list(range(min(2, count)))
     nodes = 0
 

@@ -136,15 +136,6 @@ class Lanes:
             )
         return found
 
-    def slots(self, clear: int) -> int:
-        """Bit s set iff slot s of the clear guard bits has one set: the
-        slots that miss a pattern.  ORing each lane's guard bits down to
-        bit 0 of their slot leaves the answer at every slot-th bit."""
-        folded = 0
-        for guard in self._guards:
-            folded |= clear >> guard
-        return int(format(folded, "b")[::-self.slot][::-1], 2)
-
     def carry(self, count: int) -> tuple[int, int]:
         """(K, H) repeated once per slot for count slots, each built once."""
         found = self._carry.get(count)

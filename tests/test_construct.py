@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gekr import construct
+from gekr import construct, verify
 from gekr.bounds import floor_rows, nu
 from gekr.construct import (
     ConstructionConfig,
@@ -324,6 +324,20 @@ class TestGreedy:
             ModelParams.fixed_weight(15, 10), seed=3, attempts_per_row=50, max_rows=4
         )
         assert arr.m == 4
+
+    def test_stops_at_the_scan_limit(self, monkeypatch):
+        # At (100, 70) a candidate is almost never rejected, so only the
+        # scan's size limit stops greedy short of max_rows: it keeps the
+        # most rows that verify.scan_bytes accepts, here 40.
+        params = ModelParams.fixed_weight(100, 70)
+        patterns = construct._patterns(params)
+        monkeypatch.setattr(verify, "MAX_BLOCK_BYTES", verify.scan_bytes(40, 100, patterns))
+        with pytest.raises(ValueError, match="past the limit"):
+            verify.scan_bytes(41, 100, patterns)
+        arr = greedy_extend(params, seed=0, attempts_per_row=50, max_rows=60)
+        assert arr.m == 40
+        monkeypatch.undo()  # is_gekr tests the four patterns, past the patched limit
+        assert is_gekr(arr)
 
     def test_deterministic(self):
         a = greedy_extend(ModelParams.fixed_weight(12, 7), seed=11, attempts_per_row=60)

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from gekr.exact import (
     witness_matrix,
 )
 from gekr.verify import Lanes, find_deficient_naive, is_gekr
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestEnumerateMissingProb:
@@ -213,12 +219,13 @@ def test_max_family_golden_witness(n, k):
 
 
 # (6,3) and (7,4) test four lanes; at (9,7), 3k > 2n drops the 111 lane.
-@pytest.mark.parametrize("n,k", [(6, 3), (7, 4), (9, 7)])
+# At (7,1) no two rows share a column, and at (7,2) most pairs share none.
+@pytest.mark.parametrize("n,k", [(7, 1), (7, 2), (6, 3), (7, 4), (9, 7)])
 def test_compat_table_oracle(n, k):
     lanes = Lanes(gekr_patterns(n, k), n)
     assert len(lanes.patterns) == (3 if 3 * k > 2 * n else 4)
     masks = exact._subset_masks(n, k)
-    compat = exact._compat_table(lanes, masks)
+    compat = exact._compat_table(n, masks)
     count = len(masks)
     for a in range(count):
         for b in range(count):
@@ -230,3 +237,14 @@ def test_compat_table_oracle(n, k):
     for a, b, c in combinations(range(count), 3):
         matrix = ArrayMatrix(n=n, rows=(masks[a], masks[b], masks[c]))
         assert (compat[a][b] >> c & 1) == (not find_deficient_naive(matrix).deficient)
+
+
+def test_weight_one_at_the_ceiling():
+    # C(1069, 1) is the candidate ceiling.  No two weight-1 rows share a
+    # column, so no third covers 110 and the answer is 2, proven.
+    probe = "from gekr.exact import max_family; r = max_family(1069, 1); print(r.size, r.optimal)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "True"]

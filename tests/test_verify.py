@@ -483,7 +483,7 @@ class TestLanes:
         # left to the full-lane filler, and each tape made clean or not
         # on purpose: misses yields exactly the tapes with a deficient
         # slot, in the order asked for.  A slot's clear guard bits give
-        # its naive missing set, and slots gives one bit per such slot.
+        # its naive missing set.
         n = 16
         rng = random.Random(count * 97 + len(patterns))
         lanes = Lanes(patterns, n)
@@ -518,7 +518,6 @@ class TestLanes:
         assert list(hits) == sorted(bad)
         for i, clear in hits.items():
             per_slot = [clear >> s * lanes.slot & mask for s in range(count)]
-            assert lanes.slots(clear) == sum(1 << s for s, bits in enumerate(per_slot) if bits)
             gaps = [gap(y, z) for y, z in triples[i]] + [frozenset()] * (count - filled[i])
             assert [lanes.missing(bits) for bits in per_slot] == gaps
 
