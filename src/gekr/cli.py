@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success / property holds; 1 property fails or the
-construction gave up; 2 usage, domain, or parse errors.  Magnitudes are
-printed in both rendered ("2.26e289") and raw log10 forms because the
-interesting values overflow every native float format.
+construction gave up; 2 usage, domain, parse or file errors; 141 stdout
+closed before the output was written (128 + SIGPIPE, as a shell reports
+for `yes | head -1`).  Commands raise ValueError or OSError and main
+alone turns it into the usage line and `gekr: error: <cause>`, exit 2.
+Magnitudes are printed in both rendered ("2.26e289") and raw log10 forms
+because the interesting values overflow every native float format.
 
 Each command imports the modules it runs, so that `gekr bound` loads only
 core, bounds and this module: most calls print one bound, and start-up,
@@ -13,6 +16,7 @@ which compiles every module imported, is most of their time.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -29,10 +33,12 @@ def _parse_n(token: str) -> int:
     """Column count (the type of every --n): a whole number from 1 up to
     the largest float, so that every bound formula can take it.  Decimal
     reads "1e23" as exactly 10^23 and checks the range before int()
-    expands the digits."""
+    expands the digits; float() first refuses what Python's number
+    grammar does, such as misplaced underscores, which Decimal drops."""
     try:
+        float(token)
         value = Decimal(token)
-    except InvalidOperation:
+    except (ValueError, InvalidOperation):
         raise argparse.ArgumentTypeError(f"bad column count {token!r}") from None
     if not (value.is_finite() and 1 <= value <= sys.float_info.max and value == value.to_integral_value()):
         raise argparse.ArgumentTypeError(f"column count {token!r}: need n >= 1, whole, <= 1.8e308")
@@ -43,23 +49,21 @@ def _parse_ns(text: str) -> list[int]:
     return [_parse_n(tok) for tok in _split_tokens(text)]
 
 
-def _resolve_alpha(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> Fraction:
+def _resolve_alpha(args: argparse.Namespace) -> Fraction:
     """Density from --alpha or --k/--n, validated by parse_alpha."""
-    if args.alpha is not None and getattr(args, "k", None) is not None:
-        parser.error("give either --alpha or --k, not both")
+    if args.alpha is not None and args.k is not None:
+        raise ValueError("give either --alpha or --k, not both")
     if args.alpha is not None:
         return parse_alpha(args.alpha)
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         return parse_alpha(f"{args.k}/{args.n}")
-    parser.error("one of --alpha or --k is required")
+    raise ValueError("one of --alpha or --k is required")
 
 
-def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> int:
     from . import bounds
 
-    alpha = _resolve_alpha(parser, args)
+    alpha = _resolve_alpha(args)
     value = bounds.row_bound(args.model, alpha, args.n)
     mantissa, exponent = value.scientific()
     if args.json:
@@ -83,7 +87,7 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     from . import bounds
 
     alpha_tokens = (
@@ -92,9 +96,9 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     )
     ns = args.ns if args.ns is not None else list(bounds.TABLE_NS)
     if not alpha_tokens:
-        parser.error("alpha grid is empty")
+        raise ValueError("alpha grid is empty")
     if not ns:
-        parser.error("n grid is empty")
+        raise ValueError("n grid is empty")
     grid = [(tok, parse_alpha(tok)) for tok in alpha_tokens]
 
     print("alpha,n,log10_m,rendered")
@@ -105,15 +109,13 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_rows(
-    parser: argparse.ArgumentParser, path: str, stream: TextIO, patterns: PatternSet
-) -> str | None:
-    """The text of stream, read line by line, or None once it passes
-    verify.MAX_BLOCK_BYTES: each line read is capped at what is left of
-    that limit.  The row lines, neither blank nor comments, are counted
-    as they come, and the first past what the scan takes at the first
-    row's width is a usage error, before the rest is read or any row
-    parsed."""
+def _read_rows(path: str, stream: TextIO, patterns: PatternSet) -> str:
+    """The text of stream, read line by line; a ValueError once it passes
+    verify.MAX_BLOCK_BYTES, as each line read is capped at what is left
+    of that limit.  The row lines, neither blank nor comments, are
+    counted as they come, and the first past what the scan takes at the
+    first row's width is a ValueError too, before the rest is read or
+    any row parsed."""
     from . import verify
 
     limit = verify.MAX_BLOCK_BYTES
@@ -121,7 +123,7 @@ def _read_rows(
     size = m = n = 0
     while line := stream.readline(limit + 1 - size):
         if (size := size + len(line)) > limit:
-            return None
+            raise ValueError(f"{path}: input passes the limit of {limit} bytes")
         lines.append(line)
         if (row := line.strip()) and not row.startswith("#"):
             m += 1
@@ -129,45 +131,29 @@ def _read_rows(
             try:
                 verify.scan_bytes(m, n, patterns)
             except ValueError as exc:
-                parser.error(f"{path}: the first {exc}")
+                raise ValueError(f"{path}: the first {exc}") from None
     return "".join(lines)
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from . import verify
 
     if args.workers is not None and args.workers < 1:
-        parser.error(f"workers must be at least 1, got {args.workers}")
-    try:
-        patterns = GEKR if args.patterns is None else PatternSet.from_text(args.patterns)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
+    patterns = GEKR if args.patterns is None else PatternSet.from_text(args.patterns)
     # An input past the scan's own byte limit is refused before it is
     # read: a file by its size, stdin once that many bytes have come.
     limit = verify.MAX_BLOCK_BYTES
-    try:
-        if args.path == "-":
-            text = _read_rows(parser, args.path, sys.stdin, patterns)
-        elif Path(args.path).stat().st_size > limit:
-            text = None
-        else:
-            with open(args.path) as stream:
-                text = _read_rows(parser, args.path, stream, patterns)
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if text is None:
-        print(f"{args.path}: input passes the limit of {limit} bytes", file=sys.stderr)
-        return 2
-    try:
-        array = parse_array(text)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    report = verify.find_deficient(array, patterns)
+    if args.path == "-":
+        text = _read_rows(args.path, sys.stdin, patterns)
+    elif Path(args.path).stat().st_size > limit:
+        raise ValueError(f"{args.path}: input passes the limit of {limit} bytes")
+    else:
+        with open(args.path) as stream:
+            text = _read_rows(args.path, stream, patterns)
+    report = verify.find_deficient(parse_array(text), patterns)
     if report.ok:
         print(f"ok: all {report.total_checked} triples covered")
         return 0
@@ -184,27 +170,24 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 1
 
 
-def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     import logging
     from pathlib import Path
 
     from . import construct
 
-    alpha = _resolve_alpha(parser, args)
+    alpha = _resolve_alpha(args)
     if args.model == "independent":
         params = ModelParams.independent(alpha, args.n)
     elif (alpha * args.n).denominator == 1:
         params = ModelParams.fixed_weight(args.n, int(alpha * args.n))
     else:
-        parser.error(f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{args.n}")
-    strategy = Strategy(args.strategy)
-    if args.m is None and strategy is not Strategy.GREEDY:
-        parser.error("--m is required for this strategy")
+        raise ValueError(f"fixed-weight model needs an integer weight: alpha*n = {alpha}*{args.n}")
     config = construct.ConstructionConfig(
         params=params,
-        m=args.m if args.m is not None else 0,
+        m=args.m,
         seed=args.seed,
-        strategy=strategy,
+        strategy=Strategy(args.strategy),
         max_resamples=args.max_resamples,
         attempts_per_row=args.attempts_per_row,
     )
@@ -227,17 +210,13 @@ def cmd_construct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     assert result.array is not None
     text = result.array.to_text()
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> int:
     from . import bounds, optimize
 
     if args.model == "independent":
@@ -255,7 +234,7 @@ def cmd_optimize(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 0
 
 
-def cmd_figure(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
     from . import optimize
 
     table = optimize.figure_data(args.figure, grid_step=args.grid_step)
@@ -265,7 +244,7 @@ def cmd_figure(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def cmd_maxfamily(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_maxfamily(args: argparse.Namespace) -> int:
     from . import exact
 
     result = exact.max_family(args.n, args.k, node_limit=args.node_limit)
@@ -363,8 +342,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
-    except ValueError as exc:  # a domain error: exit 2 with its message
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (`gekr figure 3 | head -1`).  stdout goes
+        # to devnull, so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, OSError) as exc:  # bad input, domain or file: exit 2
         parser.error(str(exc))
 
 

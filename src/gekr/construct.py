@@ -45,15 +45,19 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ConstructionConfig:
+    """m is the row count; None is allowed only for greedy, with no cap."""
+
     params: ModelParams
-    m: int
+    m: int | None
     seed: int
     strategy: Strategy = Strategy.MOSER_TARDOS
     max_resamples: int = 1_000_000
     attempts_per_row: int = 1_000
 
     def __post_init__(self) -> None:
-        if self.m < 0:
+        if self.m is None and self.strategy is not Strategy.GREEDY:
+            raise ValueError("--m is required for this strategy")
+        if self.m is not None and self.m < 0:
             raise ValueError(f"row count must be non-negative, got {self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -62,8 +66,8 @@ class ConstructionConfig:
         if self.attempts_per_row < 1:
             raise ValueError("attempts_per_row must be positive")
         # The scan's size limit, before any row is drawn; at least 3 rows,
-        # so that n is bounded for greedy's m = 0 too.
-        scan_bytes(max(self.m, 3), self.params.n, _patterns(self.params))
+        # so that n is bounded for greedy without a cap too.
+        scan_bytes(max(self.m or 0, 3), self.params.n, _patterns(self.params))
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ def run(config: ConstructionConfig) -> ConstructionResult:
     """Dispatch on strategy.  Greedy always succeeds (possibly with few
     rows), ignores max_resamples, and reports zero resampling steps; the
     others refuse m >= 3 at density 1 before any draw, as no redraw helps."""
-    if config.params.alpha == 1 and config.m >= 3 and config.strategy is not Strategy.GREEDY:
+    if config.strategy is not Strategy.GREEDY and config.params.alpha == 1 and config.m >= 3:
         raise ValueError(f"m={config.m} is out of reach at density 1: all-ones rows never cover 011")
     if config.strategy is Strategy.MOSER_TARDOS:
         return moser_tardos(config)
@@ -242,6 +246,6 @@ def run(config: ConstructionConfig) -> ConstructionResult:
         config.params,
         config.seed,
         attempts_per_row=config.attempts_per_row,
-        max_rows=config.m if config.m > 0 else None,
+        max_rows=config.m,
     )
     return ConstructionResult(array=array, resamples_used=0)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import logging
@@ -11,6 +12,9 @@ import pytest
 
 #: A column count past float range: 1 followed by 400 zeros.
 HUGE_N = "1" + "0" * 400
+#: Column counts that Python's number grammar refuses, though Decimal
+#: alone reads each as 1000.
+MISPLACED_UNDERSCORES = ("_1000", "1__000", "1000_", "1e_3")
 
 from gekr import cli as cli_module
 from gekr import construct, exact, verify
@@ -86,9 +90,10 @@ class TestBound:
             assert code == 2
             assert "need n >= 1" in err
         for model in ("independent", "fixed-asymptotic"):
-            code, out, err = cli(["bound", "--model", model, "--alpha", "0.5", "--n", HUGE_N])
-            assert (code, out) == (2, "")
-            assert "column count" in err and "Traceback" not in err
+            for n in (HUGE_N, *MISPLACED_UNDERSCORES):
+                code, out, err = cli(["bound", "--model", model, "--alpha", "0.5", f"--n={n}"])
+                assert (code, out) == (2, ""), n
+                assert "column count" in err and "Traceback" not in err
 
     def test_underflowing_density(self, cli):
         # 1e-400 is in (0, 1] as a fraction but 0.0 as a float.
@@ -124,13 +129,17 @@ print(code, time.perf_counter() - start)
 """
 
 
-def timed_main(*argv: str) -> subprocess.CompletedProcess:
-    """TIMED_MAIN in a fresh process, so that a hang times out."""
+def src_env() -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def timed_main(*argv: str) -> subprocess.CompletedProcess:
+    """TIMED_MAIN in a fresh process, so that a hang times out."""
     return subprocess.run(
-        [sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True, text=True, env=env, timeout=20
+        [sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True, text=True, env=src_env(), timeout=20
     )
 
 
@@ -207,16 +216,16 @@ class TestTable:
         assert cli(["table", "--model", "independent", "--alphas", ""])[0] == 2
         assert cli(["table", "--model", "independent", "--alphas", "0.5", "--ns", "ten"])[0] == 2
         assert cli(["table", "--model", "independent", "--alphas", "1.2"])[0] == 2
-        for bad in ("inf", "nan", "-inf", "1e400", "2.5", "0", HUGE_N):
+        for bad in ("inf", "nan", "-inf", "1e400", "2.5", "0", HUGE_N, *MISPLACED_UNDERSCORES):
             code, _, err = cli(["table", "--model", "independent", f"--ns={bad}"])
             assert code == 2, bad
             assert "column count" in err
 
     def test_float_notation_is_exact(self, cli):
         # Read as a decimal, not through a float (99999999999999991611392).
-        code, out, _ = cli(["table", "--model", "independent", "--alphas", "0.5", "--ns", "1e23"])
+        code, out, _ = cli(["table", "--model", "independent", "--alphas", "0.5", "--ns", "1e23,1_000"])
         assert code == 0
-        assert out.splitlines()[1].split(",")[1] == "1" + "0" * 23
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["1" + "0" * 23, "1000"]
 
     def test_huge_exponent_rejected_unexpanded(self, cli):
         # A billion-digit integer is never built: the range check comes first.
@@ -257,7 +266,7 @@ class TestVerify:
         # which these rows would fail with exit 1.
         code, out, err = cli(["verify", "-", "--patterns", ""], stdin_text="111\n111\n111\n")
         assert (code, out) == (2, "")
-        assert "parse error" in err
+        assert "gekr: error: bad pattern ''" in err and "Traceback" not in err
 
     def test_workers_flag(self, cli):
         code, _, _ = cli(["verify", "-", "--workers", "2"], stdin_text="1110\n1101\n1011\n")
@@ -269,9 +278,10 @@ class TestVerify:
         assert "workers must be at least 1" in err
 
     def test_missing_file(self, cli, tmp_path):
-        code, _, err = cli(["verify", str(tmp_path / "absent.txt")])
-        assert code == 2
-        assert "cannot read" in err
+        path = tmp_path / "absent.txt"
+        code, out, err = cli(["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert str(path) in err and "No such file or directory" in err and "Traceback" not in err
 
     def test_input_past_block_limit(self, cli, tmp_path, monkeypatch):
         # Two rows, which the scan would take, after a long comment: one
@@ -327,9 +337,9 @@ class TestVerify:
         assert (code, out) == (1, "deficient: 10 of 10 triples\n")
 
     def test_parse_error(self, cli):
-        code, _, err = cli(["verify", "-"], stdin_text="110\n1100\n")
-        assert code == 2
-        assert "parse error" in err
+        code, out, err = cli(["verify", "-"], stdin_text="110\n1100\n")
+        assert (code, out) == (2, "")
+        assert "gekr: error: line 2: row length" in err and "Traceback" not in err
         assert cli(["verify", "-", "--patterns", "12"], stdin_text="11\n")[0] == 2
 
 
@@ -366,7 +376,7 @@ class TestConstruct:
         path = tmp_path / "absent" / "arr.txt"
         code, out, err = cli(["construct", "--n", "10", "--k", "7", "--m", "4", "--output", str(path)])
         assert (code, out) == (2, "")
-        assert f"cannot write {path}" in err
+        assert str(path) in err and "No such file or directory" in err
         assert "Traceback" not in err and not path.parent.exists()
 
     def test_failure_exit_one(self, cli):
@@ -397,6 +407,13 @@ class TestConstruct:
         )
         assert code == 0
         assert is_gekr(parse_array(out))
+
+    def test_greedy_zero_rows(self, cli):
+        # --m 0 caps greedy at no rows, as it does the other strategies.
+        for strategy in ("greedy", "moser-tardos", "rejection"):
+            argv = ["construct", "--k", "7", "--n", "10", "--strategy", strategy, "--m", "0"]
+            code, out, err = cli(argv)
+            assert (code, out.split(), err) == (0, [], ""), strategy
 
     def test_independent_model(self, cli):
         code, out, _ = cli(
@@ -501,3 +518,67 @@ class TestMaxFamily:
 
 def test_no_command_is_usage_error(cli):
     assert cli([])[0] == 2
+
+
+def test_closed_pipe_during_output():
+    # 10,001 rows, more than a pipe holds: the reader takes one line and
+    # leaves, and gekr exits as a shell reports SIGPIPE, with no traceback.
+    argv = [sys.executable, "-m", "gekr.cli", "figure", "3", "--grid-step", "0.0001"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+    assert proc.stdout.readline() == b"alpha,xi,theta\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=20), err) == (141, b"")
+
+
+def test_closed_pipe_before_output():
+    read, write = os.pipe()
+    os.close(read)
+    argv = [sys.executable, "-m", "gekr.cli", "bound", "--model", "independent", "--alpha", "0.5", "--n", "100"]
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=src_env(), timeout=20)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def exit_paths(tree: ast.Module) -> list[str]:
+    """Each place where a function other than main takes the parser,
+    calls .error( or sys.exit, or returns 2: an exit path besides main's."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        if any(a.arg == "parser" for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs):
+            found.append(f"{fn.name}: parser")
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "error" or ast.unparse(node.func) == "sys.exit":
+                    found.append(f"{fn.name}:{node.lineno}: {ast.unparse(node.func)}")
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2:
+                found.append(f"{fn.name}:{node.lineno}: return 2")
+    return found
+
+
+def main_handlers(tree: ast.Module) -> list[str]:
+    main = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    return [ast.unparse(h.type) for node in ast.walk(main) if isinstance(node, ast.Try) for h in node.handlers]
+
+
+def test_one_exit_path():
+    # Commands raise; main alone turns an error into a message and an exit
+    # code, a closed pipe before any other OSError.
+    probe = (
+        "def main(parser):\n"
+        "    try:\n        parser.error('x')\n        sys.exit(2)\n        return 2\n"
+        "    except BrokenPipeError:\n        return 141\n"
+        "    except (ValueError, OSError):\n        return 2\n"
+        "def f(args, parser=None):\n    return 2\n"
+        "def g(p):\n    p.error('x')\n    sys.exit(1)\n    return 1\n"
+    )
+    tree = ast.parse(probe)
+    assert exit_paths(tree) == ["f: parser", "f:11: return 2", "g:13: p.error", "g:14: sys.exit"]
+    assert main_handlers(tree) == ["BrokenPipeError", "(ValueError, OSError)"]
+    tree = ast.parse(Path(cli_module.__file__).read_text())
+    assert exit_paths(tree) == []
+    assert main_handlers(tree) == ["BrokenPipeError", "(ValueError, OSError)"]

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -355,6 +356,15 @@ class TestConfigAndRun:
             ConstructionConfig(params=FIXED_20_14, m=3, seed=0, attempts_per_row=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ConstructionConfig(params=FIXED_20_14, m=3, seed=-1)
+        with pytest.raises(ValueError, match="--m is required"):
+            ConstructionConfig(params=FIXED_20_14, m=None, seed=0)
+
+    def test_greedy_row_cap(self):
+        # m = 0 caps greedy at no rows; None leaves it uncapped.
+        config = ConstructionConfig(params=FIXED_30_20, m=0, seed=1, strategy=Strategy.GREEDY)
+        assert run(config).array.m == 0
+        uncapped = run(replace(config, m=None)).array
+        assert uncapped.rows == greedy_extend(FIXED_30_20, seed=1).rows and uncapped.m > 3
 
     @pytest.mark.parametrize(
         "argv", [["--k", "2", "--n", "4", "--m", "1000000000000"], ["--n", "1e12", "--k", "3", "--m", "3"]]
