@@ -22,7 +22,9 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import TextIO
 
-from .core import GEKR, ModelParams, PatternSet, Strategy, parse_alpha, parse_array, render_magnitude
+from .core import (
+    GEKR, DeficiencyReport, ModelParams, PatternSet, Strategy, parse_alpha, parse_array, render_magnitude
+)
 
 
 def _split_tokens(text: str) -> list[str]:
@@ -109,13 +111,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_rows(path: str, stream: TextIO, patterns: PatternSet) -> str:
-    """The text of stream, read line by line; a ValueError once it passes
-    verify.MAX_BLOCK_BYTES, as each line read is capped at what is left
-    of that limit.  The row lines, neither blank nor comments, are
-    counted as they come, and the first past what the scan takes at the
-    first row's width is a ValueError too, before the rest is read or
-    any row parsed."""
+def _read_rows(path: str, stream: TextIO, patterns: PatternSet) -> tuple[str, int]:
+    """The text of stream, read line by line, and its number of row
+    lines; a ValueError once it passes verify.MAX_BLOCK_BYTES, as each
+    line read is capped at what is left of that limit.  The row lines,
+    neither blank nor comments, are counted as they come, and the first
+    past what the scan takes at the first row's width is a ValueError
+    too, before the rest is read or any row parsed."""
     from . import verify
 
     limit = verify.MAX_BLOCK_BYTES
@@ -132,7 +134,7 @@ def _read_rows(path: str, stream: TextIO, patterns: PatternSet) -> str:
                 verify.scan_bytes(m, n, patterns)
             except ValueError as exc:
                 raise ValueError(f"{path}: the first {exc}") from None
-    return "".join(lines)
+    return "".join(lines), m
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -147,13 +149,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # read: a file by its size, stdin once that many bytes have come.
     limit = verify.MAX_BLOCK_BYTES
     if args.path == "-":
-        text = _read_rows(args.path, sys.stdin, patterns)
+        text, m = _read_rows(args.path, sys.stdin, patterns)
     elif Path(args.path).stat().st_size > limit:
         raise ValueError(f"{args.path}: input passes the limit of {limit} bytes")
     else:
         with open(args.path) as stream:
-            text = _read_rows(args.path, stream, patterns)
-    report = verify.find_deficient(parse_array(text), patterns)
+            text, m = _read_rows(args.path, stream, patterns)
+    # An input of no row lines, such as `construct --m 0` prints, is the
+    # array of no rows, which has no triple to be deficient.
+    report = verify.find_deficient(parse_array(text), patterns) if m else DeficiencyReport((), (), 0)
     if report.ok:
         print(f"ok: all {report.total_checked} triples covered")
         return 0

@@ -6,7 +6,8 @@ costs is up to the search.  verify.TripleScan makes one forward pass
 over the comb(m, 3) triples, spread over the run, and after each
 resample tests again only the triples before its cursor that hold one
 of the three new rows, so a step costs O(m^2) tests after that pass.
-Greedy extension tests CHUNK accepted pairs per big-int operation.
+Greedy extension tests CHUNK accepted pairs per big-int operation,
+the pairs most likely to reject a candidate first.
 Every strategy tests the patterns of core.gekr_patterns: fixed-weight
 rows with 3r > 2n always share a column, so the 111 lane is left out
 and each slot is 3(n + 1) bits instead of 4(n + 1); a triple is
@@ -18,7 +19,11 @@ epoch starts at 0 and increments each time that row is resampled (or,
 for rejection sampling, each time the whole array is redrawn; greedy
 extension uses the attempt number).  Identical (seed, n, weight,
 strategy) therefore reproduce identical arrays bit for bit, regardless
-of how many triples the verifier inspected along the way.
+of how many triples the verifier inspected along the way.  The
+SeedSequence hash is computed here, not by numpy's SeedSequence
+object, and a fixed-weight row's bounded integers are drawn from the
+raw outputs as Generator.integers draws them; tests check both
+against numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, Sequence
 
 from .core import ArrayMatrix, ModelParams, PatternSet, Strategy, gekr_patterns
 from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
@@ -87,30 +93,149 @@ class ConstructionResult:
         return self.array is not None
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), computed here:
+# its entropy words are hashed into a pool of four 32-bit words, then
+# generate_state(4, uint64) hashes the pool out into PCG64's seed.  Each
+# word after the first four is mixed into every pool word in turn, so the
+# pool after the seed's words and after a row's words can be kept, and a
+# draw mixes in only its epoch.
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+#: generate_state's hash constants INIT_B * MULT_B^i: its 32-bit output
+#: word i is pool word i % 4 xored with _OUT_HASH[i], times _OUT_HASH[i + 1].
+_OUT_HASH = [0x8B51_F9DD * 0x58F3_8DED**i & _M32 for i in range(9)]
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a natural, least significant first; 0 is [0]."""
+    out = [value & _M32]
+    while value := value >> 32:
+        out.append(value & _M32)
+    return out
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """One hashed word and the next hash constant."""
+    value ^= h
+    h = h * _MULT_A & _M32
+    value = value * h & _M32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    x = _MIX_L * x - _MIX_R * y & _M32
+    return x ^ x >> 16
+
+
+def _absorb(pool: tuple[int, ...], h: int, words: list[int]) -> tuple[tuple[int, ...], int]:
+    """Mix each word into every pool word, as mix_entropy does past the
+    first four: _mix(pool[i], _hashmix(word)) written out."""
+    mixed = list(pool)
+    for word in words:
+        for i in range(4):
+            value = word ^ h
+            h = h * _MULT_A & _M32
+            value = value * h & _M32
+            x = _MIX_L * mixed[i] - _MIX_R * (value ^ value >> 16) & _M32
+            mixed[i] = x ^ x >> 16
+    return tuple(mixed), h
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant after the seed's words, zero-padded to
+    four since a spawn key follows."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    pool, h = [], _INIT_A
+    for word in words[:4]:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return _absorb(tuple(pool), h, words[4:])
+
+
+@lru_cache(maxsize=1024)
+def _row_pool(seed: int, row_index: int) -> tuple[tuple[int, ...], int]:
+    return _absorb(*_seed_pool(seed), _words(row_index))
+
+
+@lru_cache(maxsize=1)
+def _seeded() -> type:
+    """A numpy ISeedSequence that hands PCG64 fixed state words; numpy is
+    imported here, on the first row drawn, so that the bounds, the scans
+    and the CLI start without it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
+            return self.state
+
+    return Seeded
+
+
 def _row_rng(seed: int, row_index: int, epoch: int) -> np.random.Generator:
-    # numpy is imported here and in _sample_row, on the first row drawn,
-    # so that the bounds, the scans and the CLI start without it.
+    """The generator of PCG64(SeedSequence(seed, spawn_key=(row_index, epoch)))."""
     import numpy as np
 
-    ss = np.random.SeedSequence(seed, spawn_key=(row_index, epoch))
-    return np.random.Generator(np.random.PCG64(ss))
+    pool, _ = _absorb(*_row_pool(seed, row_index), _words(epoch))
+    state = []  # the uint64 words, each from two 32-bit words, low first
+    for i in range(0, 8, 2):
+        low = (pool[i & 3] ^ _OUT_HASH[i]) * _OUT_HASH[i + 1] & _M32
+        high = (pool[i + 1 & 3] ^ _OUT_HASH[i + 1]) * _OUT_HASH[i + 2] & _M32
+        state.append(low ^ low >> 16 | (high ^ high >> 16) << 32)
+    return np.random.Generator(np.random.PCG64(_seeded()(np.array(state, np.uint64))))
+
+
+def _bounded(bit_generator: np.random.BitGenerator, excls: Sequence[int]) -> list[int]:
+    """A draw from range(excl) for each excl, at most 2^32, as
+    Generator.integers makes them from the same stream: Lemire's method
+    on the 32-bit halves of each raw output, low half first, redrawing
+    while the low word of the product is below (2^32 - excl) % excl.
+    excl == 1 takes nothing from the stream."""
+    halves: list[int] = []  # popped from the end
+    count = len(excls) + 1 >> 1
+    out = []
+    for excl in excls:
+        while excl > 1:
+            if not halves:
+                halves = bit_generator.random_raw(count).astype("<u8", copy=False).view("<u4")[::-1].tolist()
+                count = 1
+            product = halves.pop() * excl
+            low = product & _M32
+            # A low word at or above excl is at or above the threshold too.
+            if low >= excl or low >= (0x1_0000_0000 - excl) % excl:
+                out.append(product >> 32)
+                break
+        else:
+            out.append(0)
+    return out
 
 
 def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
     """One packed row from the model distribution."""
-    import numpy as np
-
     n, r = params.n, params.r
     if r is not None:
         # Partial Fisher-Yates on idx = range(n): after r swaps the prefix
-        # idx[:r] is a uniform r-subset, using exactly r bounded integer
-        # draws.  moved keeps only the entries of idx that swaps changed.
+        # idx[:r] is a uniform r-subset, swap j drawn from range(j, n).
+        # moved keeps only the entries of idx that swaps changed.
         moved: dict[int, int] = {}
         row = 0
-        for j, t in enumerate(rng.integers(np.arange(r), n).tolist()):
+        for j, t in enumerate(_bounded(rng.bit_generator, range(n, n - r, -1))):
+            t += j
             row |= 1 << moved.get(t, t)
             moved[t] = moved.get(j, j)
         return row
+    import numpy as np
+
     bits = rng.random(n) < float(params.alpha)
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
@@ -196,15 +321,24 @@ def greedy_extend(
     no GEKR-deficient triple with any existing pair.  Stops after
     attempts_per_row consecutive rejections, at max_rows, or before the
     first row whose array verify.scan_bytes refuses.  The result always
-    passes is_gekr by construction.  The open tape of pairs is filled
-    with full lanes, which fail only a candidate failing all.
+    passes is_gekr by construction.
+
+    Accepted pairs (x, y) are kept in tapes of CHUNK, grouped by
+    min(|x - y|, |y - x|), and a candidate is tested against the groups
+    from the smallest up: it fails pair (x, y) when it misses all of
+    x - y (or y - x), most often when that set is small.  Whether a
+    candidate is accepted does not depend on the order.  New pairs go
+    into the next slots of their group's open tape, whose empty slots
+    hold full lanes, which fail only a candidate failing all.
     """
     n = params.n
     lanes = Lanes(_patterns(params), n)
     rows: list[int] = []
+    weights: list[int] = []  # of every accepted row
     firsts: list[int] = []  # lane value of every accepted row as a first
-    pairs: list[int] = []  # lane value of every accepted pair of the open tape
-    chunks: list[tuple[int, int, int]] = []  # CHUNK accepted pairs per tape, the open one last
+    groups: dict[int, list[tuple[int, int, int]]] = {}  # the group's tapes, the open one last
+    sizes: dict[int, int] = {}  # pairs in each group
+    tapes: list[tuple[int, int, int]] = []  # every tape, the smallest groups first
 
     while max_rows is None or len(rows) < max_rows:
         t = len(rows)
@@ -215,18 +349,30 @@ def greedy_extend(
         accepted = None
         for attempt in range(attempts_per_row):
             cand = _sample_row(params, _row_rng(seed, t, attempt))
-            if next(lanes.misses(lanes.spread(lanes.row(cand), CHUNK), chunks), None) is None:
+            if next(lanes.misses(lanes.spread(lanes.row(cand), CHUNK), tapes), None) is None:
                 accepted = cand
                 break
         if accepted is None:
             break
-        if pairs:
-            chunks.pop()  # the open tape, built again below
         second = lanes.row(accepted, 1)
-        pairs += [first & second for first in firsts]
-        chunks += [lanes.tape(pairs[c : c + CHUNK], CHUNK) for c in range(0, len(pairs), CHUNK)]
-        del pairs[: len(pairs) // CHUNK * CHUNK]
+        # min(|x - y|, |y - x|) = (|x ^ y| - ||x| - |y||) / 2
+        weight = accepted.bit_count()
+        keys = [(row ^ accepted).bit_count() - abs(w - weight) >> 1 for row, w in zip(rows, weights)]
+        new: dict[int, list[int]] = {}
+        for key, first in zip(keys, firsts):
+            new.setdefault(key, []).append(first & second)
+        for key, values in new.items():
+            group, size = groups.setdefault(key, []), sizes.get(key, 0)
+            sizes[key] = size + len(values)
+            while values:
+                if (s := size % CHUNK) == 0:
+                    group.append(lanes.tape((), CHUNK))
+                part, values = values[: CHUNK - s], values[CHUNK - s :]
+                group[-1] = lanes.put(group[-1], s, part)
+                size += len(part)
+        tapes = [tape for key in sorted(groups) for tape in groups[key]]
         rows.append(accepted)
+        weights.append(weight)
         firsts.append(lanes.row(accepted, 0))
 
     return ArrayMatrix(n=n, rows=tuple(rows))

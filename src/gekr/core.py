@@ -207,8 +207,9 @@ class ArrayMatrix:
         return tuple(map(int, format(self.rows[i], f"0{self.n}b")[::-1]))
 
     def to_text(self) -> str:
-        """Render as one '0'/'1' line per row, LF-terminated."""
-        return "\n".join(format(row, f"0{self.n}b")[::-1] for row in self.rows) + "\n"
+        """Render as one '0'/'1' line per row, LF-terminated; no rows
+        render as the empty string."""
+        return "".join(format(row, f"0{self.n}b")[::-1] + "\n" for row in self.rows)
 
 
 def pack_row(bits: str) -> int:

@@ -154,12 +154,20 @@ class Lanes:
 
     def pack(self, values: Sequence[int], count: int) -> int:
         """values[s] in slot s, then up to count slots of full lanes, the AND identity."""
-        values = [*values, *[self._k] * (count - len(values))]
-        return sum(v << s * self.slot for s, v in enumerate(values))
+        fill = self.spread(self._k, count - len(values)) << len(values) * self.slot
+        return sum(v << s * self.slot for s, v in enumerate(values)) | fill
 
     def tape(self, values: Sequence[int], count: int) -> tuple[int, int, int]:
         """values packed in count slots, with K and H for them, as misses takes it."""
         return (self.pack(values, count), *self.carry(count))
+
+    def put(self, tape: tuple[int, int, int], s: int, values: Sequence[int]) -> tuple[int, int, int]:
+        """The tape with values in slots s, s + 1, ..., which held full
+        lanes: one XOR of the tape with K ^ value in each, and the tape
+        is not packed again."""
+        packed, k, h = tape
+        fill = sum((self._k ^ v) << i * self.slot for i, v in enumerate(values))
+        return (packed ^ fill << s * self.slot, k, h)
 
 
 def scan_bytes(m: int, n: int, patterns: PatternSet = GEKR) -> int:

@@ -415,6 +415,15 @@ class TestConstruct:
             code, out, err = cli(argv)
             assert (code, out.split(), err) == (0, [], ""), strategy
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_zero_and_one_rows_verify(self, cli, m):
+        # construct prints nothing for no rows, and verify reads an input
+        # with no row lines as that array: the pipeline holds for m = 0 too.
+        code, out, _ = cli(["construct", "--k", "7", "--n", "10", "--m", m])
+        assert code == 0 and out.count("\n") == int(m)
+        assert cli(["verify", "-"], stdin_text=out) == (0, "ok: all 0 triples covered\n", "")
+        assert cli(["verify", "-"], stdin_text="# a comment\n\n") == (0, "ok: all 0 triples covered\n", "")
+
     def test_independent_model(self, cli):
         code, out, _ = cli(
             ["construct", "--model", "independent", "--alpha", "0.6", "--n", "12", "--m", "2"]

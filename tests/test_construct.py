@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import logging
 import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from gekr.bounds import floor_rows, nu
 from gekr.construct import (
     ConstructionConfig,
     Strategy,
+    _bounded,
     _row_rng,
     _sample_row,
     greedy_extend,
@@ -23,7 +27,7 @@ from gekr.construct import (
     sample_rows,
 )
 from gekr.cli import main
-from gekr.core import ModelParams
+from gekr.core import GEKR, ModelParams
 from gekr.verify import find_deficient, first_deficient_triple, is_gekr, triples_through
 
 FIXED_20_14 = ModelParams.fixed_weight(20, 14)
@@ -62,6 +66,43 @@ class TestSampleRows:
         seed, row, epoch = (data.draw(st.integers(0, bound)) for bound in (2**32 - 1, 10**4, 20))
         want = loop_sample_row(params, _row_rng(seed, row, epoch))
         assert _sample_row(params, _row_rng(seed, row, epoch)) == want
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_stream_is_numpys_seed_sequence(self, data):
+        # The hash that _row_rng computes itself gives the PCG64 state of
+        # SeedSequence(seed, spawn_key=(row, epoch)), for seeds of up to
+        # five 32-bit words and keys across the word boundaries.
+        edges = st.sampled_from([0, 2**32 - 1, 2**32, 2**64])
+        seed = data.draw(st.one_of(st.integers(0, 2**140 - 1), edges))
+        row, epoch = (data.draw(st.one_of(st.integers(0, 2**40 - 1), edges)) for _ in range(2))
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch))).state
+        assert _row_rng(seed, row, epoch).bit_generator.state == want
+
+    def test_row_stream_at_word_boundaries(self):
+        edges = (0, 2**32 - 1, 2**32, 2**64)
+        for seed, row, epoch in itertools.product(edges, repeat=3):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch))).state
+            assert _row_rng(seed, row, epoch).bit_generator.state == want, (seed, row, epoch)
+
+    @given(st.integers(0, 2**128 - 1), st.integers(2**31, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_matches_generator_integers(self, state, high, k):
+        # Near 2^32 Lemire's method redraws for up to half the outputs,
+        # a branch that row draws, with excl at most n, almost never take.
+        want = np.random.Generator(np.random.PCG64(state)).integers(np.zeros(k, np.int64), high)
+        assert _bounded(np.random.PCG64(state), [high] * k) == want.tolist()
+
+    @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.just(1), st.integers(2, 2**32)), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_takes_nothing_for_one(self, state, excls):
+        # excl == 1 draws nothing, anywhere in the list: the r = n row.
+        highs = np.array(excls, np.int64)
+        want = np.random.Generator(np.random.PCG64(state)).integers(np.zeros(len(excls), np.int64), highs)
+        assert _bounded(np.random.PCG64(state), excls) == want.tolist()
+        n = len(excls) + 1
+        want = np.random.Generator(np.random.PCG64(state)).integers(np.arange(n), n) - np.arange(n)
+        assert _bounded(np.random.PCG64(state), range(n, 0, -1)) == want.tolist()
 
     def test_fixed_weight_invariant(self):
         arr = sample_rows(FIXED_20_14, 50, seed=123)
@@ -344,6 +385,44 @@ class TestGreedy:
         a = greedy_extend(ModelParams.fixed_weight(12, 7), seed=11, attempts_per_row=60)
         b = greedy_extend(ModelParams.fixed_weight(12, 7), seed=11, attempts_per_row=60)
         assert a.rows == b.rows
+
+
+def reference_greedy(params, seed, attempts_per_row, max_rows):
+    """Greedy extension one triple at a time: a candidate is kept iff
+    Lanes.deficient holds, under all four GEKR patterns, for none of
+    the accepted pairs, with candidates drawn as greedy_extend draws
+    them."""
+    lanes = verify.Lanes(GEKR, params.n)
+    rows = []
+    while max_rows is None or len(rows) < max_rows:
+        for attempt in range(attempts_per_row):
+            cand = _sample_row(params, _row_rng(seed, len(rows), attempt))
+            pairs = itertools.combinations(rows, 2)
+            if not any(lanes.deficient(lanes.row(x, 0) & lanes.row(y, 1), lanes.row(cand)) for x, y in pairs):
+                rows.append(cand)
+                break
+        else:
+            return tuple(rows)
+    return tuple(rows)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_matches_one_triple_at_a_time(data):
+    # The tapes are tested smallest difference first, and filled slot by
+    # slot; neither may change which candidate is accepted.  Short tapes
+    # make the groups of these few rows span several.
+    n = data.draw(st.integers(1, 12))
+    if data.draw(st.booleans()):
+        params = ModelParams.fixed_weight(n, data.draw(st.integers(1, n)))
+    else:
+        params = ModelParams.independent(Fraction(data.draw(st.integers(1, 16)), 16), n)
+    seed = data.draw(st.integers(0, 2**64))
+    attempts = data.draw(st.integers(1, 40))
+    max_rows = data.draw(st.one_of(st.none(), st.integers(0, 40)))
+    want = reference_greedy(params, seed, attempts, max_rows)
+    with mock.patch.object(construct, "CHUNK", data.draw(st.sampled_from([1, 2, 5, 64]))):
+        assert greedy_extend(params, seed, attempts_per_row=attempts, max_rows=max_rows).rows == want
 
 
 class TestConfigAndRun:

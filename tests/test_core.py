@@ -164,6 +164,9 @@ class TestArrayMatrix:
         assert arr.to_text() == text
         assert parse_array(arr.to_text()).rows == arr.rows
 
+    def test_no_rows_render_empty(self):
+        assert ArrayMatrix(n=5, rows=()).to_text() == ""
+
 
 class TestModelParams:
     def test_independent(self):

@@ -455,6 +455,21 @@ class TestLanes:
             for value in (lanes.row(rng.getrandbits(n)), lanes.carry(1)[1]):
                 assert lanes.spread(value, count) == value * feet
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_put_fills_slots_of_a_packed_tape(self, n):
+        # Values put in slot by slot, or a run at a time, give the tape
+        # packed with all of them at once; the rest keep full lanes.
+        rng = random.Random(n)
+        lanes = Lanes(GEKR, n)
+        values = [lanes.row(rng.getrandbits(n), 1) & lanes.row(rng.getrandbits(n)) for _ in range(40)]
+        for count in (40, 64):
+            tape = lanes.tape((), count)
+            for s, value in enumerate(values):
+                tape = lanes.put(tape, s, [value])
+                assert tape == lanes.tape(values[: s + 1], count)
+            runs = lanes.put(lanes.put(lanes.tape(values[:5], count), 5, values[5:17]), 17, values[17:])
+            assert runs == tape
+
     def test_guard_carry_stays_in_lane(self):
         # Full lanes next to empty ones: adding K must not carry across.
         for n in (1, 2, 7, 64):
