@@ -272,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate one row-count bound")
+    p_bound.set_defaults(handler=cmd_bound)
     p_bound.add_argument(
         "--model",
         required=True,
@@ -283,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="bound table over an alpha x n grid")
+    p_table.set_defaults(handler=cmd_table)
     p_table.add_argument(
         "--model", required=True, choices=["independent", "fixed-asymptotic"]
     )
@@ -290,12 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--ns", type=_parse_ns, help="comma-separated column counts")
 
     p_verify = sub.add_parser("verify", help="check an array file ('-' = stdin)")
+    p_verify.set_defaults(handler=cmd_verify)
     p_verify.add_argument("path")
     p_verify.add_argument("--patterns", help="comma-separated triples, e.g. 011,111")
     p_verify.add_argument("--list-deficient", action="store_true")
     p_verify.add_argument("--workers", type=int, help="ignored (at least 1): one process scans")
 
     p_construct = sub.add_parser("construct", help="build an array by resampling")
+    p_construct.set_defaults(handler=cmd_construct)
     p_construct.add_argument(
         "--model", default="fixed", choices=["independent", "fixed"]
     )
@@ -314,16 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--output", help="write the array here instead of stdout")
 
     p_optimize = sub.add_parser("optimize", help="best density for a model")
+    p_optimize.set_defaults(handler=cmd_optimize)
     p_optimize.add_argument(
         "--model", required=True, choices=["independent", "fixed"]
     )
     p_optimize.add_argument("--n", type=_parse_n, default=10_000)
 
     p_figure = sub.add_parser("figure", help="CSV data behind a reference figure")
+    p_figure.set_defaults(handler=cmd_figure)
     p_figure.add_argument("figure", type=int, choices=[1, 2, 3, 4])
     p_figure.add_argument("--grid-step", type=float, default=0.005, help="from 1e-4 to 0.1")
 
     p_max = sub.add_parser("maxfamily", help="exact largest GEKR family")
+    p_max.set_defaults(handler=cmd_maxfamily)
     p_max.add_argument("--n", type=_parse_n, required=True)
     p_max.add_argument("--k", type=int, required=True)
     p_max.add_argument("--node-limit", type=int, default=5_000_000)
@@ -331,22 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "bound": cmd_bound,
-    "table": cmd_table,
-    "verify": cmd_verify,
-    "construct": cmd_construct,
-    "optimize": cmd_optimize,
-    "figure": cmd_figure,
-    "maxfamily": cmd_maxfamily,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -61,8 +61,8 @@ class ConstructionConfig:
     attempts_per_row: int = 1_000
 
     def __post_init__(self) -> None:
-        if self.m is None and self.strategy is not Strategy.GREEDY:
-            raise ValueError("--m is required for this strategy")
+        if self.strategy is not Strategy.GREEDY:
+            self.row_count()
         if self.m is not None and self.m < 0:
             raise ValueError(f"row count must be non-negative, got {self.m}")
         if self.seed < 0:
@@ -74,6 +74,12 @@ class ConstructionConfig:
         # The scan's size limit, before any row is drawn; at least 3 rows,
         # so that n is bounded for greedy without a cap too.
         scan_bytes(max(self.m or 0, 3), self.params.n, _patterns(self.params))
+
+    def row_count(self) -> int:
+        """m, for a strategy that needs a row count; ValueError if None."""
+        if self.m is None:
+            raise ValueError("--m is required for this strategy")
+        return self.m
 
 
 @dataclass(frozen=True)
@@ -266,11 +272,9 @@ def moser_tardos(config: ConstructionConfig) -> ConstructionResult:
     below the lll_max_rows bound for the model.
     """
     start = time.perf_counter()
-    params = config.params
-    rows = [
-        _sample_row(params, _row_rng(config.seed, i, 0)) for i in range(config.m)
-    ]
-    epochs = [0] * config.m
+    params, m = config.params, config.row_count()
+    rows = [_sample_row(params, _row_rng(config.seed, i, 0)) for i in range(m)]
+    epochs = [0] * m
     scan = TripleScan(rows, params.n, _patterns(params))
     steps = 0
     while (bad := scan.first()) is not None:
@@ -295,12 +299,12 @@ def rejection(config: ConstructionConfig) -> ConstructionResult:
     """Redraw the whole array until deficiency-free.  resamples_used is
     the number of full redraws after the initial draw."""
     start = time.perf_counter()
-    params = config.params
+    params, m = config.params, config.row_count()
     checked = 0
     for attempt in range(config.max_resamples + 1):
-        array = sample_rows(params, config.m, config.seed, epoch=attempt)
+        array = sample_rows(params, m, config.seed, epoch=attempt)
         bad = first_deficient_triple(array.rows, params.n, _patterns(params))
-        checked += triples_through(config.m, bad)
+        checked += triples_through(m, bad)
         if bad is None:
             return ConstructionResult(
                 array=array, resamples_used=attempt, triples_checked=checked
@@ -366,9 +370,10 @@ def greedy_extend(
             sizes[key] = size + len(values)
             while values:
                 if (s := size % CHUNK) == 0:
-                    group.append(lanes.tape((), CHUNK))
+                    group.append(lanes.tape(CHUNK))
                 part, values = values[: CHUNK - s], values[CHUNK - s :]
-                group[-1] = lanes.put(group[-1], s, part)
+                packed, k, h = group[-1]
+                group[-1] = (lanes.put(packed, s, part), k, h)
                 size += len(part)
         tapes = [tape for key in sorted(groups) for tape in groups[key]]
         rows.append(accepted)

@@ -23,10 +23,10 @@ mask of all guard bits, the triple is deficient iff
 
 With two rows fixed, many thirds are tested per operation.  Slot s of
 an integer holds a lane value at bits s*S.. of S = P*w bits, for P
-patterns; a tape (Lanes.tape) holds lane values in consecutive slots,
-with K and H repeated per slot.  Lanes.spread copies a lane value into
-every slot by shifted copies, and the guard bits of
-((spread & tape) + K) & H test every slot at once: slot s misses a
+patterns; a tape holds lane values in consecutive slots, with K and H
+repeated per slot, and Lanes.put writes them into it.  Lanes.spread
+copies a lane value into every slot by shifted copies, and the guard
+bits of ((spread & tape) + K) & H test every slot at once: slot s misses a
 pattern iff one of its guard bits is clear.  Lanes.misses, the one
 carry test the package runs, yields those clear bits for each tape of
 a run that misses.  TripleScan keeps, for every row j but the last,
@@ -152,22 +152,17 @@ class Lanes:
             done *= 2
         return value & (1 << count * self.slot) - 1
 
-    def pack(self, values: Sequence[int], count: int) -> int:
-        """values[s] in slot s, then up to count slots of full lanes, the AND identity."""
-        fill = self.spread(self._k, count - len(values)) << len(values) * self.slot
-        return sum(v << s * self.slot for s, v in enumerate(values)) | fill
+    def tape(self, count: int) -> tuple[int, int, int]:
+        """An empty tape of count slots, with K and H for them, as misses
+        takes it: full lanes, the AND identity, in every slot, which is K."""
+        k, h = self.carry(count)
+        return (k, k, h)
 
-    def tape(self, values: Sequence[int], count: int) -> tuple[int, int, int]:
-        """values packed in count slots, with K and H for them, as misses takes it."""
-        return (self.pack(values, count), *self.carry(count))
-
-    def put(self, tape: tuple[int, int, int], s: int, values: Sequence[int]) -> tuple[int, int, int]:
-        """The tape with values in slots s, s + 1, ..., which held full
-        lanes: one XOR of the tape with K ^ value in each, and the tape
-        is not packed again."""
-        packed, k, h = tape
+    def put(self, packed: int, s: int, values: Sequence[int]) -> int:
+        """packed with values in slots s, s + 1, ..., which held full
+        lanes: one XOR with K ^ value in each, so nothing is packed again."""
         fill = sum((self._k ^ v) << i * self.slot for i, v in enumerate(values))
-        return (packed ^ fill << s * self.slot, k, h)
+        return packed ^ fill << s * self.slot
 
 
 def scan_bytes(m: int, n: int, patterns: PatternSet = GEKR) -> int:
@@ -253,7 +248,7 @@ class TripleScan:
         self.firsts = [lanes.row(row, 0) for row in rows]
         self.seconds = [lanes.row(row, 1) for row in rows]
         self.thirds = [lanes.row(row) for row in rows]
-        self._third_tape = lanes.pack(self.thirds, m + PAD)
+        self._third_tape = lanes.put(lanes.spread(lanes._k, m + PAD), 0, self.thirds)
         self._blocks = [self._block(j) for j in range(m - 1)] if m > 2 else []
         self.cursor = (0, 0, 0)  # scan reads this as the first triple, (0, 1, 2)
         self.found: set[tuple[int, int, int]] = set()

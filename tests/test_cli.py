@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -526,7 +527,31 @@ class TestMaxFamily:
 
 
 def test_no_command_is_usage_error(cli):
-    assert cli([])[0] == 2
+    code, out, err = cli([])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: gekr ")
+    assert "error: the following arguments are required: command" in err
+
+
+def test_every_command_parses_to_its_handler():
+    # Each subcommand that the parser knows carries the function that
+    # runs it; main calls it from the parsed namespace.
+    parser = cli_module.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    argvs = {
+        "bound": ["--model", "independent", "--alpha", "0.5", "--n", "9"],
+        "table": ["--model", "independent"],
+        "verify": ["-"],
+        "construct": ["--k", "4", "--n", "6"],
+        "optimize": ["--model", "fixed"],
+        "figure": ["3"],
+        "maxfamily": ["--n", "5", "--k", "3"],
+    }
+    assert sorted(commands) == sorted(argvs)
+    for command, argv in argvs.items():
+        args = parser.parse_args([command, *argv])
+        assert args.command == command
+        assert callable(args.handler) and args.handler is getattr(cli_module, f"cmd_{command}")
 
 
 def test_closed_pipe_during_output():

@@ -438,6 +438,14 @@ class TestConfigAndRun:
         with pytest.raises(ValueError, match="--m is required"):
             ConstructionConfig(params=FIXED_20_14, m=None, seed=0)
 
+    @pytest.mark.parametrize("strategy", [moser_tardos, rejection])
+    def test_strategies_needing_m_refuse_a_greedy_config(self, strategy):
+        # A greedy config may leave m unset; the strategies that need a
+        # row count refuse it with the config's own error.
+        config = ConstructionConfig(params=FIXED_20_14, m=None, seed=0, strategy=Strategy.GREEDY)
+        with pytest.raises(ValueError, match="^--m is required for this strategy$"):
+            strategy(config)
+
     def test_greedy_row_cap(self):
         # m = 0 caps greedy at no rows; None leaves it uncapped.
         config = ConstructionConfig(params=FIXED_30_20, m=0, seed=1, strategy=Strategy.GREEDY)

@@ -3,14 +3,12 @@ only when a row is first drawn, and the test extra lists only what the
 tests import."""
 
 import ast
-import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gekr"
@@ -55,7 +53,8 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         gekr.cli.main(argv)
     print(argv[0], loaded())
-gekr.construct.sample_rows(gekr.ModelParams.fixed_weight(6, 4), 3, seed=0)
+import gekr.construct
+gekr.construct.sample_rows(gekr.core.ModelParams.fixed_weight(6, 4), 3, seed=0)
 print("sample_rows", loaded())
 """
 
@@ -79,8 +78,10 @@ def test_numpy_loads_on_the_first_row_drawn():
     assert proc.stdout.splitlines() == [f"{stage} []" for stage in stages] + ["sample_rows ['numpy']"]
 
 
-#: Run in a fresh interpreter with a stage as argv: print the gekr
-#: submodules, and which of json and logging, that the stage loaded.
+#: Run in a fresh interpreter with a stage as argv: print, as gekr.X, each
+#: public name that `import gekr` bound, and __all__ or a module
+#: __getattr__ if it defines one; then the gekr submodules, and which of
+#: json and logging, that the stage loaded.
 IMPORT_PROBE = """
 import contextlib, io, sys
 
@@ -92,20 +93,22 @@ def loaded():
 
 stage = sys.argv[1:]
 import gekr
+bound = sorted(f"gekr.{name}" for name in dir(gekr) if name in ("__all__", "__getattr__") or name[0] != "_")
 if stage != ["gekr"]:
     import gekr.cli
 if stage not in (["gekr"], ["gekr.cli"]):
     sys.stdin = io.StringIO("011\\n101\\n110\\n111\\n")
     with contextlib.redirect_stdout(io.StringIO()):
         gekr.cli.main(stage)
-print(loaded())
+print(bound + loaded())
 """
 
 
 def test_each_command_imports_only_what_it_runs():
     # Start-up compiles every module imported, so each stage pays only for
-    # its own: a bound loads no scan, a scan no bound, and json and
-    # logging load only for `bound --json` and `construct`.
+    # its own: `import gekr` binds no public name and loads no submodule,
+    # a bound loads no scan, a scan no bound, and json and logging load
+    # only for `bound --json` and `construct`.
     stages = {
         ("gekr",): [],
         ("gekr.cli",): ["cli", "core"],
@@ -258,18 +261,14 @@ def test_every_public_definition_is_named_elsewhere():
     # A public module-level function or class must be named outside its
     # own definition, and a public method or property of a class read as
     # an attribute there: elsewhere in the package, in scripts/, in
-    # perfbench/ or in the paper-reproduction tests.  The re-exports of
-    # __init__ do not count, nor do the tests of the definition itself.
-    # A local variable named like a method does not use it.
+    # perfbench/ or in the paper-reproduction tests.  The tests of the
+    # definition itself do not count, and a local variable named like a
+    # method does not use it.
     probe = "class C:\n    def used(self): pass\n    def unused(self): pass\nC().used\nunused = 0\n"
     assert unnamed_definitions({"probe.py": ast.parse(probe).body}, []) == ["probe.py:C.unused"]
     outside = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     outside.append(ROOT / "tests" / "test_acceptance.py")
-    modules = {
-        path.name: ast.parse(path.read_text()).body
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    modules = {path.name: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
     assert len(modules) >= 7, "wrong source directory"
     assert unnamed_definitions(modules, [ast.parse(path.read_text()) for path in outside]) == []
 
@@ -364,29 +363,6 @@ def test_every_optional_parameter_is_passed_elsewhere():
         and not any(passes(call, name, position) for call in calls.get(called, []))
     ]
     assert unset == []
-
-
-def test_all_lists_exactly_the_package_imports():
-    # __init__ imports lazily from a table of names by defining module: a
-    # name deleted from the table but not its module, or listed twice,
-    # breaks `from gekr import *` or exports what nothing defines.
-    import gekr
-
-    listed = [name for names in gekr._HOMES.values() for name in names.split()]
-    assert len(listed) > 30, "wrong table"
-    assert len(set(listed)) == len(listed)
-    assert gekr.__all__ == sorted(listed)
-    for name in gekr.__all__:
-        module = importlib.import_module(f"gekr.{gekr._HOME[name]}")
-        value = getattr(gekr, name)
-        assert value is getattr(module, name), name
-        assert getattr(value, "__module__", module.__name__) in (module.__name__, "builtins"), name
-    namespace: dict = {}
-    exec("from gekr import *", namespace)
-    assert set(gekr.__all__) <= namespace.keys()
-    assert set(gekr.__all__) <= set(dir(gekr))
-    with pytest.raises(AttributeError):
-        gekr.no_such_name
 
 
 def attribute_reads(tree) -> set[tuple[str | None, str]]:

@@ -1,7 +1,8 @@
-"""Smoke tests: every script in scripts/ runs to completion as a
-subprocess against the package in src/."""
+"""Smoke tests: every script in scripts/, and the README's library
+example, runs to completion as a subprocess against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> str:
+def run_python(*argv: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -24,6 +25,19 @@ def run_script(name: str, *args: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def run_script(name: str, *args: str) -> str:
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_library_example():
+    # The python block under "## Library" runs as written, so the imports
+    # it shows are the ones the package has.
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1, "expected one python block under ## Library"
+    run_python("-c", blocks[0])
 
 
 def test_greedy_vs_lll():

@@ -423,6 +423,18 @@ class TestBlockLimit:
         assert "limit of 100" in capsys.readouterr().err
 
 
+def packed(lanes: Lanes, values, count: int) -> int:
+    """values[s] in slot s, then full lanes up to count slots, one shift each."""
+    full = lanes.carry(1)[0]
+    return sum((values[s] if s < len(values) else full) << s * lanes.slot for s in range(count))
+
+
+def filled_tape(lanes: Lanes, values, count: int) -> tuple[int, int, int]:
+    """An empty tape of count slots with values put in from slot 0."""
+    empty, k, h = lanes.tape(count)
+    return (lanes.put(empty, 0, values), k, h)
+
+
 class TestLanes:
     def test_layout(self):
         # n = 2: lanes are 3 bits wide, guard bit at position 2 of each.
@@ -457,17 +469,21 @@ class TestLanes:
 
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_put_fills_slots_of_a_packed_tape(self, n):
-        # Values put in slot by slot, or a run at a time, give the tape
-        # packed with all of them at once; the rest keep full lanes.
+        # An empty tape holds full lanes in every slot; values put in slot
+        # by slot, or a run at a time, give the packing of all of them at
+        # once, built here shift by shift, with the rest full lanes.
         rng = random.Random(n)
         lanes = Lanes(GEKR, n)
         values = [lanes.row(rng.getrandbits(n), 1) & lanes.row(rng.getrandbits(n)) for _ in range(40)]
         for count in (40, 64):
-            tape = lanes.tape((), count)
+            empty, k, h = lanes.tape(count)
+            assert (k, h) == lanes.carry(count)
+            assert empty == packed(lanes, [], count)
+            tape = empty
             for s, value in enumerate(values):
                 tape = lanes.put(tape, s, [value])
-                assert tape == lanes.tape(values[: s + 1], count)
-            runs = lanes.put(lanes.put(lanes.tape(values[:5], count), 5, values[5:17]), 17, values[17:])
+                assert tape == packed(lanes, values[: s + 1], count)
+            runs = lanes.put(lanes.put(lanes.put(empty, 0, values[:5]), 5, values[5:17]), 17, values[17:])
             assert runs == tape
 
     def test_guard_carry_stays_in_lane(self):
@@ -477,7 +493,7 @@ class TestLanes:
             lanes = Lanes(PatternSet(frozenset({(1, 1, 1), (1, 1, 0)})), n)
             pair = lanes.row(full, 0) & lanes.row(full, 1)
             assert lanes.deficient(pair, lanes.row(full))
-            tapes = [lanes.tape([lanes.row(full)], 1), lanes.tape([lanes.row(0)], 1)]
+            tapes = [filled_tape(lanes, [lanes.row(full)], 1), filled_tape(lanes, [lanes.row(0)], 1)]
             (_, full_clear), (_, zero_clear) = lanes.misses(pair, tapes)
             assert lanes.missing(full_clear) == {(1, 1, 0)}
             assert lanes.missing(zero_clear) == {(1, 1, 1)}
@@ -520,7 +536,7 @@ class TestLanes:
             [draw(tape % 2 == 0 or s > 0 and rng.random() < 0.8) for s in range(used)]
             for tape, used in enumerate(filled)
         ]
-        tapes = [lanes.tape([lanes.row(y, 1) & lanes.row(z) for y, z in t], count) for t in triples]
+        tapes = [filled_tape(lanes, [lanes.row(y, 1) & lanes.row(z) for y, z in t], count) for t in triples]
         value = lanes.spread(lanes.row(x, 0), count)
         bad = {
             i for i, t in enumerate(triples)
