@@ -20,11 +20,10 @@ Probabilities small beyond float range are carried as LogMagnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import LogMagnitude
+from .core import LogMagnitude, Record
 
 #: Euler's number in the local-lemma condition e * p * (d + 1) <= 1.
 E_EULER = math.e
@@ -250,8 +249,7 @@ def discriminant_lead(alpha: float) -> float:
     return (1.0 - alpha) ** 3 * (1.0 + 3.0 * alpha)
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(Record):
     """Large-n behaviour of the fixed-weight sums at density alpha.
 
     beta and kappa locate (as fractions of n) the dominant terms of the
@@ -263,6 +261,7 @@ class AsymptoticProfile:
     that they are None and mu = theta.
     """
 
+    __slots__ = ("beta", "kappa", "xi", "theta", "mu")
     beta: float | None
     kappa: float
     xi: float | None
@@ -314,7 +313,7 @@ def asymptotic_profile(alpha: float) -> AsymptoticProfile:
     theta = math.exp(log_theta)
 
     mu = xi if (a <= 0.5 and xi is not None) else theta
-    return AsymptoticProfile(beta=beta, kappa=kappa, xi=xi, theta=theta, mu=mu)
+    return AsymptoticProfile(beta, kappa, xi, theta, mu)
 
 
 def nu(alpha: Fraction | float, n: int, mode: str = "asymptotic") -> LogMagnitude:

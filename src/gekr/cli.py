@@ -10,7 +10,9 @@ because the interesting values overflow every native float format.
 
 Each command imports the modules it runs, so that `gekr bound` loads only
 core, bounds and this module: most calls print one bound, and start-up,
-which compiles every module imported, is most of their time.
+which compiles every module imported, is most of their time.  For the
+same reason only `construct` imports dataclasses (and, through it,
+inspect); the records of every other command are core.Record classes.
 """
 
 from __future__ import annotations

@@ -11,20 +11,73 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterator
 
 Pattern = tuple[int, int, int]
+
+
+class Record:
+    """An immutable record whose fields are the names in its class's
+    __slots__, in order: built from them by position or keyword, then
+    checked by __post_init__; equal and hashed as the tuple of its field
+    values, within one class.  A subclass gives a field a default through
+    an __init__ of its own, as ModelParams does for r.
+
+    The records that the bounds, verify and maxfamily commands build are
+    these, not dataclasses, so that those commands never import
+    dataclasses and, through it, inspect: a sizable share of their
+    start-up, for no feature they use.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        names = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values):] if name in named)
+        if len(values) != len(names) or named:
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, each once, by position or keyword")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
 
 _ALL_PATTERNS = frozenset(
     (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
 )
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(Record):
     """A set of length-3 binary column patterns.
 
     A triple of rows "covers" pattern (a, b, c) when some column reads a
@@ -32,6 +85,7 @@ class PatternSet:
     misses at least one pattern of the set is called deficient.
     """
 
+    __slots__ = ("members",)
     members: frozenset[Pattern]
 
     def __post_init__(self) -> None:
@@ -78,8 +132,8 @@ def gekr_patterns(n: int, weight: int | None) -> PatternSet:
     return GEKR
 
 
-@dataclass(frozen=True, order=True)
-class LogMagnitude:
+@total_ordering
+class LogMagnitude(Record):
     """A non-negative real carried as its base-10 logarithm.
 
     Row-count bounds routinely exceed 10^30000, far beyond float range,
@@ -87,11 +141,15 @@ class LogMagnitude:
     which orders below every positive value.
     """
 
+    __slots__ = ("log10",)
     log10: float
 
     def __post_init__(self) -> None:
         if math.isnan(self.log10):
             raise ValueError("log10 must not be NaN")
+
+    def __lt__(self, other: LogMagnitude) -> bool:
+        return self.log10 < other.log10 if type(other) is LogMagnitude else NotImplemented
 
     @property
     def is_zero(self) -> bool:
@@ -144,8 +202,7 @@ class Strategy(Enum):
     GREEDY = "greedy"
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Column count plus the row distribution.
 
     With r set, the model is fixed-weight: every row has exactly r ones,
@@ -154,9 +211,13 @@ class ModelParams:
     r = alpha * n holds without rounding concerns.
     """
 
+    __slots__ = ("n", "alpha", "r")
     n: int
     alpha: Fraction
-    r: int | None = None
+    r: int | None
+
+    def __init__(self, n: int, alpha: Fraction, r: int | None = None) -> None:
+        super().__init__(n, alpha, r)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -180,10 +241,10 @@ class ModelParams:
         return cls(n=n, alpha=Fraction(r, n), r=r)
 
 
-@dataclass(frozen=True)
-class ArrayMatrix:
+class ArrayMatrix(Record):
     """A binary array: m rows over n columns, rows as packed integers."""
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
@@ -245,8 +306,7 @@ def parse_array(text: str) -> ArrayMatrix:
     return ArrayMatrix(n=n, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(Record):
     """Outcome of scanning an array's row triples against a pattern set.
 
     deficient lists the offending (i, j, l) index triples, i < j < l in
@@ -255,6 +315,7 @@ class DeficiencyReport:
     comb(m, 3) of them.
     """
 
+    __slots__ = ("deficient", "missing", "total_checked")
     deficient: tuple[tuple[int, int, int], ...]
     missing: tuple[frozenset[Pattern], ...]
     total_checked: int

@@ -28,13 +28,12 @@ that cover every GEKR pattern:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .core import ArrayMatrix, Pattern
+from .core import ArrayMatrix, Pattern, Record
 
 #: Column-count ceiling for the enumeration oracles.
 MAX_ENUM_N = 8
@@ -93,13 +92,13 @@ def enumerate_missing_prob(n: int, r: int, pattern: Pattern) -> Fraction:
     return Fraction(count, len(masks) ** 2)
 
 
-@dataclass(frozen=True)
-class MaxFamilyResult:
+class MaxFamilyResult(Record):
     """size and a witness family of that size; optimal is False when the
     search hit its node budget before it ended, and the size is then only
     a lower bound.  nodes counts the rows the search added; it passes
     node_limit when the budget ran out."""
 
+    __slots__ = ("size", "witness", "optimal", "nodes")
     size: int
     witness: tuple[tuple[int, ...], ...]
     optimal: bool

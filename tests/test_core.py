@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,64 @@ from gekr.core import (
     LogMagnitude,
     ModelParams,
     PatternSet,
+    Record,
     pack_row,
     parse_alpha,
     parse_array,
     render_magnitude,
 )
+
+
+class TestRecord:
+    """A Record keeps what callers had of the frozen dataclass it replaced."""
+
+    def test_fields_by_position_or_keyword(self):
+        params = ModelParams(6, Fraction(2, 3), 4)
+        assert params == ModelParams(n=6, alpha=Fraction(2, 3), r=4) == ModelParams(6, r=4, alpha=Fraction(2, 3))
+        assert params == ModelParams.fixed_weight(6, 4)
+        assert ModelParams(n=6, alpha=Fraction(1, 2)).r is None
+        for bad in [(), (1.0, 2.0)]:
+            with pytest.raises(TypeError):
+                LogMagnitude(*bad)
+        for bad in [{"log10": 1.0, "mu": 2.0}, {"mu": 1.0}]:
+            with pytest.raises(TypeError):
+                LogMagnitude(**bad)
+        with pytest.raises(TypeError):
+            ArrayMatrix(3, n=3)
+        with pytest.raises(ValueError):
+            ModelParams(n=0, alpha=Fraction(1, 2))
+
+    def test_equality_hash_repr(self):
+        assert LogMagnitude(2.0) == LogMagnitude(2.0)
+        assert LogMagnitude(2.0) != LogMagnitude(3.0)
+        assert LogMagnitude(2.0) != 2.0
+        assert hash(LogMagnitude(2.0)) == hash((2.0,))  # as the dataclass hashed it
+        assert len({ArrayMatrix(2, (1, 2)), ArrayMatrix(2, (1, 2)), ArrayMatrix(2, (2, 1))}) == 2
+        assert repr(ModelParams(6, Fraction(2, 3), 4)) == "ModelParams(n=6, alpha=Fraction(2, 3), r=4)"
+        assert repr(GEKR) == f"PatternSet(members={GEKR.members!r})"
+
+    def test_immutable_without_instance_dict(self):
+        params = ModelParams.fixed_weight(6, 4)
+        with pytest.raises(AttributeError):
+            params.n = 7
+        with pytest.raises(AttributeError):
+            del params.r
+        with pytest.raises(AttributeError):
+            params.extra = 1
+        assert isinstance(params, Record) and not hasattr(params, "__dict__")
+
+    def test_copy_and_pickle(self):
+        for record in (ModelParams.fixed_weight(6, 4), LogMagnitude.zero(), GEKR, ArrayMatrix(2, (1, 3))):
+            assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+
+    def test_ordering_only_between_magnitudes(self):
+        assert LogMagnitude(1.0) <= LogMagnitude(1.0) < LogMagnitude(2.0)
+        assert LogMagnitude(2.0) >= LogMagnitude(2.0) > LogMagnitude(1.0)
+        assert max(LogMagnitude(3.0), LogMagnitude.zero(), LogMagnitude(-1.0)) == LogMagnitude(3.0)
+        with pytest.raises(TypeError):
+            LogMagnitude(1.0) < 2.0
+        with pytest.raises(TypeError):
+            ModelParams.fixed_weight(6, 4) < ModelParams.fixed_weight(6, 5)
 
 
 class TestLogMagnitude:

@@ -81,7 +81,7 @@ def test_numpy_loads_on_the_first_row_drawn():
 #: Run in a fresh interpreter with a stage as argv: print, as gekr.X, each
 #: public name that `import gekr` bound, and __all__ or a module
 #: __getattr__ if it defines one; then the gekr submodules, and which of
-#: json and logging, that the stage loaded.
+#: dataclasses, inspect, json and logging, that the stage loaded.
 IMPORT_PROBE = """
 import contextlib, io, sys
 
@@ -89,7 +89,7 @@ before = set(sys.modules)
 
 def loaded():
     new = set(sys.modules) - before
-    return sorted(m[len("gekr."):] for m in new if m.startswith("gekr.")) + sorted(new & {"json", "logging"})
+    return sorted(m[len("gekr."):] for m in new if m.startswith("gekr.")) + sorted(new & {"dataclasses", "inspect", "json", "logging"})
 
 stage = sys.argv[1:]
 import gekr
@@ -107,8 +107,9 @@ print(bound + loaded())
 def test_each_command_imports_only_what_it_runs():
     # Start-up compiles every module imported, so each stage pays only for
     # its own: `import gekr` binds no public name and loads no submodule,
-    # a bound loads no scan, a scan no bound, and json and logging load
-    # only for `bound --json` and `construct`.
+    # a bound loads no scan, a scan no bound, json and logging load only
+    # for `bound --json` and `construct`, and dataclasses, with the
+    # inspect it imports, only for `construct`.
     stages = {
         ("gekr",): [],
         ("gekr.cli",): ["cli", "core"],
@@ -120,7 +121,7 @@ def test_each_command_imports_only_what_it_runs():
         ("figure", "3", "--grid-step", "0.1"): ["bounds", "cli", "core", "optimize"],
         ("verify", "-"): ["cli", "core", "verify"],
         ("maxfamily", "--n", "5", "--k", "3"): ["cli", "core", "exact"],
-        ("construct", "--k", "4", "--n", "6", "--m", "3"): ["cli", "construct", "core", "verify", "logging"],
+        ("construct", "--k", "4", "--n", "6", "--m", "3"): ["cli", "construct", "core", "verify", "dataclasses", "inspect", "logging"],
     }
     seen = {}
     for stage in stages:
@@ -278,7 +279,8 @@ def optional_parameters(body) -> list[tuple[str, str, int | None]]:
     every optional parameter of a public function, method or __init__,
     and every dataclass field with a default, in a module body.  A
     method is called by its own name, __init__ and the fields by the
-    class name; positions leave out self and cls."""
+    class name; positions leave out self and cls.  A core.Record gives
+    a field a default through its __init__."""
     found = []
 
     def add(called, node, skip_first):
@@ -310,8 +312,8 @@ def optional_parameters(body) -> list[tuple[str, str, int | None]]:
 
 
 def test_every_optional_parameter_is_passed_elsewhere():
-    # An optional parameter of a public function or method, or a
-    # dataclass field with a default, must be passed, by keyword or by
+    # An optional parameter of a public function or method, or a record
+    # or dataclass field with a default, must be passed, by keyword or by
     # position, by some call in the package, in scripts/, in perfbench/
     # or in the paper-reproduction tests: an option that only its own
     # unit tests set is one nothing needs.  Calls match by the called
@@ -344,9 +346,11 @@ def test_every_optional_parameter_is_passed_elsewhere():
         "def f(a, b=1, *, c=2): pass\n"
         "class C:\n    def g(self, x, y=0): pass\n"
         "@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+        "class R(Record):\n    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b=0):\n        super().__init__(a, b)\n"
     )
     assert optional_parameters(ast.parse(probe).body) == [
-        ("f", "b", 1), ("f", "c", None), ("g", "y", 1), ("D", "b", 1)
+        ("f", "b", 1), ("f", "c", None), ("g", "y", 1), ("D", "b", 1), ("R", "b", 1)
     ]
     found = [
         (path.stem, *option)
@@ -379,33 +383,68 @@ def attribute_reads(tree) -> set[tuple[str | None, str]]:
     return reads
 
 
+def record_fields(tree) -> list[tuple[str, str]]:
+    """(class, field) for every dataclass field in a module tree, and
+    every name in the __slots__ of a class, which is how a core.Record
+    lists its fields."""
+    fields = []
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in top.decorator_list):
+            fields += [
+                (top.name, stmt.target.id)
+                for stmt in top.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+        fields += [
+            (top.name, name)
+            for stmt in top.body
+            if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["__slots__"]
+            for name in ast.literal_eval(stmt.value)
+        ]
+    return fields
+
+
+def unread_fields(modules: dict[str, ast.Module], outside: list) -> list[str]:
+    """module.class.field for every record or dataclass field of the
+    modules that no attribute read outside its own class reads: in
+    another class or function of the modules, or in the outside trees."""
+    reads = {("", attr) for tree in outside for _, attr in attribute_reads(tree)}
+    fields = []
+    for name, tree in modules.items():
+        reads |= {(f"{name}.{owner}", attr) for owner, attr in attribute_reads(tree)}
+        fields += [(f"{name}.{cls}", field) for cls, field in record_fields(tree)]
+    return [
+        f"{cls}.{field}"
+        for cls, field in fields
+        if not any(attr == field and where != cls for where, attr in reads)
+    ]
+
+
 def test_every_dataclass_field_is_read_elsewhere():
-    # A dataclass field must be read as an attribute outside its own
-    # class: in the package, in scripts/, in perfbench/ or in the
+    # A record or dataclass field must be read as an attribute outside
+    # its own class: in the package, in scripts/, in perfbench/ or in the
     # paper-reproduction tests.  A field that only its own class reads is
     # state nothing needs.  Reads match by attribute name alone, so a
     # field named like another attribute that is read (alpha, n) passes
     # whether or not anything reads it.
+    probe = (
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 0\n"
+        "    def f(self):\n        return self.b\n"
+        "class R(Record):\n    __slots__ = ('x', 'y')\n    x: int\n"
+        "    def g(self):\n        return self.y\n"
+        "def h(d, r):\n    return d.a + r.x\n"
+    )
+    assert record_fields(ast.parse(probe)) == [("D", "a"), ("D", "b"), ("R", "x"), ("R", "y")]
+    assert unread_fields({"probe": ast.parse(probe)}, []) == ["probe.D.b", "probe.R.y"]
     outside = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     outside.append(ROOT / "tests" / "test_acceptance.py")
-    reads = {("", attr) for path in outside for _, attr in attribute_reads(ast.parse(path.read_text()))}
-    fields = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        reads |= {(f"{path.stem}.{owner}", attr) for owner, attr in attribute_reads(tree)}
-        fields += [
-            (f"{path.stem}.{top.name}", stmt.target.id)
-            for top in tree.body
-            if isinstance(top, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in top.decorator_list)
-            for stmt in top.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        ]
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fields = [field for tree in modules.values() for field in record_fields(tree)]
     assert len(fields) > 15, "wrong source directory"
+    assert {cls for cls, _ in fields} >= {"ConstructionConfig", "ConstructionResult", "LogMagnitude"}
     # ConstructionResult.triples_checked is exempt: ROADMAP items 1 and 5
     # plan its readers, the per-layer triple counts of a construction.
-    unread = [
-        f"{cls}.{name}"
-        for cls, name in fields
-        if name != "triples_checked" and not any(attr == name and where != cls for where, attr in reads)
-    ]
-    assert unread == []
+    unread = unread_fields(modules, [ast.parse(path.read_text()) for path in outside])
+    assert [name for name in unread if name != "construct.ConstructionResult.triples_checked"] == []

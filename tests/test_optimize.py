@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
+from gekr import optimize
 from gekr.bounds import asymptotic_profile, p_independent
-from gekr.optimize import _grid, _refine, argmin_independent, argmin_mu, figure_data, golden_section
+from gekr.optimize import _Grid, _refine, argmin_independent, argmin_mu, figure_data, golden_section
 
 
 class TestGoldenSection:
@@ -52,7 +54,7 @@ class TestArgminMu:
 
     def test_stable_under_grid_halving(self):
         coarse, _ = argmin_mu()
-        fine = _refine(lambda a: asymptotic_profile(a).mu, _grid(5e-5, 1.0 - 5e-5, 5e-5), 1e-9, 1.0)
+        fine = _refine(lambda a: asymptotic_profile(a).mu, _Grid(5e-5, 1.0 - 5e-5, 5e-5), 1e-9, 1.0)
         assert abs(coarse - fine) < 1e-4
 
     def test_pinned_bits(self):
@@ -76,6 +78,66 @@ def test_argmin_independent_pinned_bits(n, alpha_star, log10_p):
     assert (found, p_star.log10) == (alpha_star, log10_p)
 
 
+def full_scan_refine(f, grid, lo_clip, hi_clip):
+    """_refine as it was before the coarse-then-fine scan: f at every
+    grid point, the first argmin, golden-section between its neighbours."""
+    values = [f(x) for x in grid]
+    k = min(range(len(grid)), key=values.__getitem__)
+    lo = grid[k - 1] if k > 0 else lo_clip
+    hi = grid[k + 1] if k + 1 < len(grid) else hi_clip
+    return golden_section(f, lo, hi)
+
+
+def full_scan_independent(n):
+    alpha = full_scan_refine(lambda a: p_independent(a, n).log10, _Grid(0.001, 0.999, 0.001), 1e-9, 1.0 - 1e-9)
+    return alpha, p_independent(alpha, n)
+
+
+class TestCoarseThenFine:
+    """Both optimizers give the full grid scan's bits: their objectives
+    have a single local minimum on the grid, where the coarse scan's
+    argmin lies within one stride of the full scan's."""
+
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            pytest.param(range(1, 401), id="1..400"),
+            pytest.param(sorted(random.Random(26).sample(range(1, 10**7 + 1), 300)), id="300 random up to 1e7"),
+            pytest.param([10**e for e in range(3, 16)], id="1e3..1e15"),
+        ],
+    )
+    def test_independent_equals_full_scan(self, ns):
+        assert [n for n in ns if argmin_independent(n) != full_scan_independent(n)] == []
+
+    def test_mu_equals_full_scan(self):
+        def mu_of(alpha):
+            return asymptotic_profile(alpha).mu
+
+        assert argmin_mu()[0] == full_scan_refine(mu_of, _Grid(1e-4, 1.0 - 1e-4, 1e-4), 1e-9, 1.0)
+
+    def test_mu_evaluations(self, monkeypatch):
+        # 9,999 grid points: 101 coarse and 199 fine, then the
+        # golden-section steps and the final value, 315 in all, where
+        # the full scan made 10,014.
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return asymptotic_profile(alpha)
+
+        monkeypatch.setattr(optimize, "asymptotic_profile", counted)
+        assert repr(argmin_mu()) == "(0.7395350629777517, 0.7764199260921867)"
+        assert len(calls) <= 400
+
+    def test_ties_go_to_the_first_point(self):
+        # A flat bottom: the first of the equal grid points is refined.
+        def flat(alpha):
+            return max(abs(alpha - 0.5) - 0.2, 0.0)
+
+        grid = _Grid(0.01, 0.99, 0.01)
+        assert _refine(flat, grid, 0.0, 1.0) == full_scan_refine(flat, grid, 0.0, 1.0)
+
+
 class TestGrid:
     @staticmethod
     def ends(step):
@@ -87,7 +149,7 @@ class TestGrid:
         steps += [round(1e-4 * k, 6) for k in range(1, 1001)]  # decimal steps
         for step in steps:
             for a, b in self.ends(step):
-                grid = _grid(a, b, step)
+                grid = _Grid(a, b, step)
                 assert grid[0] == round(a, 12)
                 assert grid[-1] <= b and b - grid[-1] < step, (step, a, b, grid[-1])
 
@@ -101,7 +163,7 @@ class TestGrid:
             (0.0, 1.0, 0.005): 201,
             (0.70, 0.78, 0.005): 17,
         }.items():
-            grid = _grid(a, b, step)
+            grid = _Grid(a, b, step)
             assert (len(grid), grid[0], grid[-1]) == (size, round(a, 12), round(b, 12))
 
     def test_steps_that_do_not_divide(self):
@@ -109,7 +171,7 @@ class TestGrid:
         for fig in (2, 3):
             assert figure_data(fig, grid_step=0.06).rows[-1][0] == 0.96
         assert [row[0] for row in figure_data(4, grid_step=0.05).rows] == [0.7, 0.75]
-        assert _grid(0.009, 0.5, 0.009)[-1] == 0.495
+        assert _Grid(0.009, 0.5, 0.009)[-1] == 0.495
 
 
 class TestFigureData:
