@@ -20,19 +20,23 @@ for rejection sampling, each time the whole array is redrawn; greedy
 extension uses the attempt number).  Identical (seed, n, weight,
 strategy) therefore reproduce identical arrays bit for bit, regardless
 of how many triples the verifier inspected along the way.  The
-SeedSequence hash is computed here, not by numpy's SeedSequence
-object, and a fixed-weight row's bounded integers are drawn from the
-raw outputs as Generator.integers draws them; tests check both
-against numpy.
+SeedSequence hash and PCG64 are computed here, in plain Python, as
+numpy defines them, so no numpy is needed to draw a row: a
+fixed-weight row's bounded integers come from the raw outputs as
+Generator.integers draws them, and an independent row's bits as
+Generator.random() < alpha sets them.  The tests check each against
+numpy itself.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .core import ArrayMatrix, ModelParams, PatternSet, Strategy, gekr_patterns
 from .verify import Lanes, TripleScan, first_deficient_triple, scan_bytes, triples_through
@@ -44,9 +48,6 @@ PROGRESS_EVERY = 10_000
 CHUNK = 64
 
 log = logging.getLogger("gekr")
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,14 @@ class ConstructionResult:
 # word after the first four is mixed into every pool word in turn, so the
 # pool after the seed's words and after a row's words can be kept, and a
 # draw mixes in only its epoch.
-_M32 = 0xFFFF_FFFF
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 #: generate_state's hash constants INIT_B * MULT_B^i: its 32-bit output
 #: word i is pool word i % 4 xored with _OUT_HASH[i], times _OUT_HASH[i + 1].
 _OUT_HASH = [0x8B51_F9DD * 0x58F3_8DED**i & _M32 for i in range(9)]
+#: PCG64's 128-bit LCG multiplier (numpy's pcg64.h).
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 
 
 def _words(value: int) -> list[int]:
@@ -129,14 +132,9 @@ def _hashmix(value: int, h: int) -> tuple[int, int]:
     return value ^ value >> 16, h
 
 
-def _mix(x: int, y: int) -> int:
-    x = _MIX_L * x - _MIX_R * y & _M32
-    return x ^ x >> 16
-
-
 def _absorb(pool: tuple[int, ...], h: int, words: list[int]) -> tuple[tuple[int, ...], int]:
     """Mix each word into every pool word, as mix_entropy does past the
-    first four: _mix(pool[i], _hashmix(word)) written out."""
+    first four: mix(pool[i], hashmix(word)) written out."""
     mixed = list(pool)
     for word in words:
         for i in range(4):
@@ -162,7 +160,8 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
         for dst in range(4):
             if src != dst:
                 v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
+                x = _MIX_L * pool[dst] - _MIX_R * v & _M32  # mix(pool[dst], v)
+                pool[dst] = x ^ x >> 16
     return _absorb(tuple(pool), h, words[4:])
 
 
@@ -171,51 +170,49 @@ def _row_pool(seed: int, row_index: int) -> tuple[tuple[int, ...], int]:
     return _absorb(*_seed_pool(seed), _words(row_index))
 
 
-@lru_cache(maxsize=1)
-def _seeded() -> type:
-    """A numpy ISeedSequence that hands PCG64 fixed state words; numpy is
-    imported here, on the first row drawn, so that the bounds, the scans
-    and the CLI start without it."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Seeded(ISeedSequence):
-        def __init__(self, state: np.ndarray) -> None:
-            self.state = state
-
-        def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
-            return self.state
-
-    return Seeded
-
-
-def _row_rng(seed: int, row_index: int, epoch: int) -> np.random.Generator:
-    """The generator of PCG64(SeedSequence(seed, spawn_key=(row_index, epoch)))."""
-    import numpy as np
-
+def _row_rng(seed: int, row_index: int, epoch: int) -> tuple[int, int]:
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(row_index, epoch))),
+    as pcg64_set_seed makes them from the hash's uint64 words: init =
+    w0 * 2^64 + w1, inc = 2(w2 * 2^64 + w3) + 1; step, add init, step."""
     pool, _ = _absorb(*_row_pool(seed, row_index), _words(epoch))
     state = []  # the uint64 words, each from two 32-bit words, low first
     for i in range(0, 8, 2):
         low = (pool[i & 3] ^ _OUT_HASH[i]) * _OUT_HASH[i + 1] & _M32
         high = (pool[i + 1 & 3] ^ _OUT_HASH[i + 1]) * _OUT_HASH[i + 2] & _M32
         state.append(low ^ low >> 16 | (high ^ high >> 16) << 32)
-    return np.random.Generator(np.random.PCG64(_seeded()(np.array(state, np.uint64))))
+    inc = ((state[2] << 64 | state[3]) << 1 | 1) & _M128
+    return ((state[0] << 64 | state[1]) + inc) * _PCG_MULT + inc & _M128, inc
 
 
-def _bounded(bit_generator: np.random.BitGenerator, excls: Sequence[int]) -> list[int]:
+def _raw(rng: tuple[int, int]) -> Iterator[int]:
+    """PCG64's 64-bit outputs from (state, inc), as random_raw gives
+    them: each steps the LCG, then takes the XSL-RR of the new state, the
+    xor x of its halves rotated right by its top six bits (a right shift
+    of x * (2^64 + 1), which holds x twice)."""
+    state, inc = rng
+    while True:
+        state = state * _PCG_MULT + inc & _M128
+        x = (state >> 64 ^ state) & _M64
+        yield x * (1 << 64 | 1) >> (state >> 122) & _M64
+
+
+def _bounded(rng: tuple[int, int], excls: Iterable[int]) -> list[int]:
     """A draw from range(excl) for each excl, at most 2^32, as
     Generator.integers makes them from the same stream: Lemire's method
     on the 32-bit halves of each raw output, low half first, redrawing
     while the low word of the product is below (2^32 - excl) % excl.
     excl == 1 takes nothing from the stream."""
-    halves: list[int] = []  # popped from the end
-    count = len(excls) + 1 >> 1
+    outputs = _raw(rng)
+    half = -1  # the high half of the last output, until it is used
     out = []
     for excl in excls:
         while excl > 1:
-            if not halves:
-                halves = bit_generator.random_raw(count).astype("<u8", copy=False).view("<u4")[::-1].tolist()
-                count = 1
-            product = halves.pop() * excl
+            if half < 0:
+                word = next(outputs)
+                word, half = word & _M32, word >> 32
+            else:
+                word, half = half, -1
+            product = word * excl
             low = product & _M32
             # A low word at or above excl is at or above the threshold too.
             if low >= excl or low >= (0x1_0000_0000 - excl) % excl:
@@ -226,24 +223,26 @@ def _bounded(bit_generator: np.random.BitGenerator, excls: Sequence[int]) -> lis
     return out
 
 
-def _sample_row(params: ModelParams, rng: np.random.Generator) -> int:
-    """One packed row from the model distribution."""
+def _sample_row(params: ModelParams, rng: tuple[int, int]) -> int:
+    """One packed row from the model distribution, set as the digits of a
+    binary numeral and read once: setting a bit of an int copies it."""
     n, r = params.n, params.r
     if r is not None:
         # Partial Fisher-Yates on idx = range(n): after r swaps the prefix
         # idx[:r] is a uniform r-subset, swap j drawn from range(j, n).
         # moved keeps only the entries of idx that swaps changed.
         moved: dict[int, int] = {}
-        row = 0
-        for j, t in enumerate(_bounded(rng.bit_generator, range(n, n - r, -1))):
+        digits = bytearray(b"0") * n
+        for j, t in enumerate(_bounded(rng, range(n, n - r, -1))):
             t += j
-            row |= 1 << moved.get(t, t)
+            digits[~moved.get(t, t)] = 49  # "1" for bit v sits at n - 1 - v
             moved[t] = moved.get(j, j)
-        return row
-    import numpy as np
-
-    bits = rng.random(n) < float(params.alpha)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        return int(digits, 2)
+    # Generator.random's double (x >> 11) / 2^53 is below alpha exactly
+    # when x is below ceil(alpha * 2^53) << 11.
+    below = math.ceil(float(params.alpha) * 2**53) << 11
+    digits = bytes(49 if x < below else 48 for x in islice(_raw(rng), n))
+    return int(digits[::-1], 2)
 
 
 def _patterns(params: ModelParams) -> PatternSet:

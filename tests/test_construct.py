@@ -18,6 +18,7 @@ from gekr.construct import (
     ConstructionConfig,
     Strategy,
     _bounded,
+    _raw,
     _row_rng,
     _sample_row,
     greedy_extend,
@@ -34,9 +35,21 @@ FIXED_20_14 = ModelParams.fixed_weight(20, 14)
 FIXED_30_20 = ModelParams.fixed_weight(30, 20)
 
 
-def loop_sample_row(params, rng) -> int:
+def numpy_rng(seed: int, row: int, epoch: int) -> np.random.Generator:
+    """numpy's own generator for a row's stream."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch))))
+
+
+def numpy_state(bit_generator: np.random.PCG64) -> tuple[int, int]:
+    """The (state, inc) of a numpy PCG64, as _row_rng gives it."""
+    state = bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def loop_sample_row(params, rng: np.random.Generator) -> int:
     """The row sampler as it was written first, one column or one swap
-    at a time: the reference for the packed sampler's rows."""
+    at a time, on numpy's Generator: the reference for the packed
+    sampler's rows."""
     n = params.n
     if params.r is not None:
         idx = list(range(n))
@@ -54,6 +67,11 @@ def loop_sample_row(params, rng) -> int:
     return row
 
 
+#: Densities of independent rows: dyadic ones, whose float is exact, and
+#: ones whose float rounds down (1/3, 2/3) or up (1/10).
+ALPHAS = [Fraction(1), Fraction(1, 2), Fraction(1, 64), Fraction(63, 64), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10)]
+
+
 class TestSampleRows:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -64,26 +82,53 @@ class TestSampleRows:
         else:
             params = ModelParams.independent(Fraction(data.draw(st.integers(1, 64)), 64), n)
         seed, row, epoch = (data.draw(st.integers(0, bound)) for bound in (2**32 - 1, 10**4, 20))
-        want = loop_sample_row(params, _row_rng(seed, row, epoch))
+        want = loop_sample_row(params, numpy_rng(seed, row, epoch))
         assert _sample_row(params, _row_rng(seed, row, epoch)) == want
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+    def test_independent_rows_match_generator_random(self, alpha):
+        # random() < alpha, for every double random() can return, is
+        # (x >> 11) < ceil(alpha * 2^53) on the raw output x.
+        params = ModelParams.independent(alpha, 200)
+        for seed in range(20):
+            bits = numpy_rng(seed, 3, 1).random(200) < float(alpha)
+            want = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+            assert _sample_row(params, _row_rng(seed, 3, 1)) == want
+
+    def test_large_fixed_weight_row(self):
+        # One row at n = 10^6, r = 7 * 10^5 against a Fisher-Yates on
+        # numpy's own draws; setting bits one at a time in an int made
+        # this row take seconds.
+        n, r = 10**6, 7 * 10**5
+        swaps = numpy_rng(11, 2, 0).integers(np.arange(r), n).tolist()
+        idx = list(range(n))
+        for j, t in enumerate(swaps):
+            idx[j], idx[t] = idx[t], idx[j]
+        bits = np.zeros(n, bool)
+        bits[idx[:r]] = True
+        want = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        assert _sample_row(ModelParams.fixed_weight(n, r), _row_rng(11, 2, 0)) == want
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_row_stream_is_numpys_seed_sequence(self, data):
-        # The hash that _row_rng computes itself gives the PCG64 state of
-        # SeedSequence(seed, spawn_key=(row, epoch)), for seeds of up to
-        # five 32-bit words and keys across the word boundaries.
+        # The hash that _row_rng computes itself gives the PCG64 state and
+        # increment of SeedSequence(seed, spawn_key=(row, epoch)), for
+        # seeds of up to five 32-bit words and keys across the word
+        # boundaries, and _raw steps it as random_raw does.
         edges = st.sampled_from([0, 2**32 - 1, 2**32, 2**64])
         seed = data.draw(st.one_of(st.integers(0, 2**140 - 1), edges))
         row, epoch = (data.draw(st.one_of(st.integers(0, 2**40 - 1), edges)) for _ in range(2))
-        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch))).state
-        assert _row_rng(seed, row, epoch).bit_generator.state == want
+        bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch)))
+        rng = _row_rng(seed, row, epoch)
+        assert rng == numpy_state(bit_generator)
+        assert list(itertools.islice(_raw(rng), 40)) == bit_generator.random_raw(40).tolist()
 
     def test_row_stream_at_word_boundaries(self):
         edges = (0, 2**32 - 1, 2**32, 2**64)
         for seed, row, epoch in itertools.product(edges, repeat=3):
-            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch))).state
-            assert _row_rng(seed, row, epoch).bit_generator.state == want, (seed, row, epoch)
+            want = numpy_state(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row, epoch))))
+            assert _row_rng(seed, row, epoch) == want, (seed, row, epoch)
 
     @given(st.integers(0, 2**128 - 1), st.integers(2**31, 2**32 - 1), st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
@@ -91,18 +136,19 @@ class TestSampleRows:
         # Near 2^32 Lemire's method redraws for up to half the outputs,
         # a branch that row draws, with excl at most n, almost never take.
         want = np.random.Generator(np.random.PCG64(state)).integers(np.zeros(k, np.int64), high)
-        assert _bounded(np.random.PCG64(state), [high] * k) == want.tolist()
+        assert _bounded(numpy_state(np.random.PCG64(state)), [high] * k) == want.tolist()
 
     @given(st.integers(0, 2**64 - 1), st.lists(st.one_of(st.just(1), st.integers(2, 2**32)), max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_bounded_takes_nothing_for_one(self, state, excls):
         # excl == 1 draws nothing, anywhere in the list: the r = n row.
+        rng = numpy_state(np.random.PCG64(state))
         highs = np.array(excls, np.int64)
         want = np.random.Generator(np.random.PCG64(state)).integers(np.zeros(len(excls), np.int64), highs)
-        assert _bounded(np.random.PCG64(state), excls) == want.tolist()
+        assert _bounded(rng, excls) == want.tolist()
         n = len(excls) + 1
         want = np.random.Generator(np.random.PCG64(state)).integers(np.arange(n), n) - np.arange(n)
-        assert _bounded(np.random.PCG64(state), range(n, 0, -1)) == want.tolist()
+        assert _bounded(rng, range(n, 0, -1)) == want.tolist()
 
     def test_fixed_weight_invariant(self):
         arr = sample_rows(FIXED_20_14, 50, seed=123)

@@ -1,6 +1,5 @@
-"""The package needs only the standard library and numpy, numpy loads
-only when a row is first drawn, and the test extra lists only what the
-tests import."""
+"""The package needs only the standard library, no command or row draw
+loads numpy, and the test extra lists only what the tests import."""
 
 import ast
 import os
@@ -30,7 +29,8 @@ def imported_modules(paths) -> list[tuple[str, str]]:
 
 
 #: Run in a fresh interpreter: print which of numpy and scipy are loaded
-#: after each stage, from `import gekr` to the first row drawn.
+#: after each stage, from `import gekr` through every command to rows
+#: drawn by a library call.
 LAZY_PROBE = """
 import contextlib, io, sys
 
@@ -49,12 +49,15 @@ for argv in (
     ["figure", "3", "--grid-step", "0.1"],
     ["verify", "-"],
     ["maxfamily", "--n", "5", "--k", "3"],
+    ["construct", "--k", "4", "--n", "6", "--m", "3"],
+    ["construct", "--model", "independent", "--alpha", "0.7", "--n", "9", "--m", "3"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         gekr.cli.main(argv)
     print(argv[0], loaded())
 import gekr.construct
 gekr.construct.sample_rows(gekr.core.ModelParams.fixed_weight(6, 4), 3, seed=0)
+gekr.construct.sample_rows(gekr.core.ModelParams.independent(0.5, 9), 3, seed=0)
 print("sample_rows", loaded())
 """
 
@@ -68,14 +71,18 @@ def src_env() -> dict:
     return env
 
 
-def test_numpy_loads_on_the_first_row_drawn():
-    # Commands that draw no row start without numpy, and nothing loads scipy.
+def test_no_stage_loads_numpy():
+    # Rows come from a PCG64 stepped in Python, so no command, row draws
+    # included, loads numpy, and nothing loads scipy.
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    stages = ["import gekr", "import gekr.cli", "bound", "table", "optimize", "figure", "verify", "maxfamily"]
-    assert proc.stdout.splitlines() == [f"{stage} []" for stage in stages] + ["sample_rows ['numpy']"]
+    stages = [
+        "import gekr", "import gekr.cli", "bound", "table", "optimize", "figure", "verify", "maxfamily",
+        "construct", "construct", "sample_rows",
+    ]
+    assert proc.stdout.splitlines() == [f"{stage} []" for stage in stages]
 
 
 #: Run in a fresh interpreter with a stage as argv: print, as gekr.X, each
@@ -134,8 +141,8 @@ def test_each_command_imports_only_what_it_runs():
     assert seen == stages
 
 
-def test_imports_are_stdlib_numpy_or_gekr():
-    allowed = set(sys.stdlib_module_names) | {"numpy", "gekr"}
+def test_imports_are_stdlib_or_gekr():
+    allowed = set(sys.stdlib_module_names) | {"gekr"}
     seen = imported_modules(sorted(SRC.glob("*.py")))
     assert seen, "no imports found: wrong source directory"
     assert [(f, n) for f, n in seen if n not in allowed] == []
@@ -209,11 +216,22 @@ def test_only_verify_reads_the_lane_layout():
     assert readers == set()
 
 
-def test_only_construct_imports_numpy():
-    # numpy samples rows, imported inside the two sampler functions; the
-    # bounds, the scans and the searches are stdlib only.
+def test_no_module_imports_numpy():
+    # The sampler steps PCG64 itself; numpy is an oracle of the tests and
+    # a tool of the benchmark, not a dependency.
     importers = {f for f, name in imported_modules(sorted(SRC.glob("*.py"))) if name == "numpy"}
-    assert importers == {"construct.py"}
+    assert importers == set()
+
+
+def test_runtime_dependencies_are_the_non_stdlib_imports():
+    # pyproject.toml's dependencies list exactly the top-level modules
+    # that src/gekr imports from outside the standard library: none.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.S | re.M)
+    assert listed, "no dependencies in pyproject.toml"
+    declared = {re.split(r"[<>=!~\[ ;]", name)[0] for name in re.findall(r'"([^"]+)"', listed[1])}
+    imported = {name for _, name in imported_modules(sorted(SRC.glob("*.py")))}
+    assert declared == imported - set(sys.stdlib_module_names) - {"gekr"}
 
 
 def named(nodes) -> set[str]:
